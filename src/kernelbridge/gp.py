@@ -20,7 +20,12 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import Dataset, Kernel, as_point, as_points, gram
-from .linalg import cholesky_with_jitter, require_invertible, solve_cholesky
+from .linalg import (
+    _solve_lower,
+    cholesky_with_jitter,
+    require_invertible,
+    solve_cholesky,
+)
 
 __all__ = [
     "GPPrior",
@@ -165,8 +170,8 @@ def posterior_cov_raw(post: GPPosterior, x, y) -> float:
     k_xy = float(gram(post.prior.kernel, xv[None, :], yv[None, :])[0, 0])
     if post.X.shape[0] == 0:
         return k_xy
-    a = np.linalg.solve(post.cholesky_factor, _cross(post, xv[None, :]).T)[:, 0]
-    b = np.linalg.solve(post.cholesky_factor, _cross(post, yv[None, :]).T)[:, 0]
+    a = _solve_lower(post.cholesky_factor, _cross(post, xv[None, :]).T)[:, 0]
+    b = _solve_lower(post.cholesky_factor, _cross(post, yv[None, :]).T)[:, 0]
     return k_xy - float(a @ b)
 
 
@@ -192,6 +197,6 @@ def posterior_variance_at(post: GPPosterior, points, clamp: bool = True) -> np.n
     if post.X.shape[0] == 0:
         out = prior_diag
     else:
-        V = np.linalg.solve(post.cholesky_factor, _cross(post, P).T)
+        V = _solve_lower(post.cholesky_factor, _cross(post, P).T)
         out = prior_diag - np.einsum("ij,ij->j", V, V)
     return np.maximum(out, 0.0) if clamp else out

@@ -8,6 +8,7 @@ from kernelbridge.gp import (
     GPPrior,
     condition,
     posterior_cov,
+    posterior_cov_raw,
     posterior_mean,
     posterior_mean_at,
     posterior_variance_at,
@@ -163,6 +164,29 @@ def test_posterior_covariance_is_symmetric_and_dominated_by_the_prior():
             posterior_cov(post, y, x), abs=1e-12
         )
         assert posterior_cov(post, x, x) <= kernel_eval(prior.kernel, x, x) + 1e-10
+
+
+def test_posterior_variances_beyond_one_solve_block_match_the_dense_formula():
+    # 150 nodes span three column blocks of the triangular solves
+    data = make_data(14, 150)
+    kernel = Matern(alpha=1.5, h=0.5)
+    noise = 0.1
+    post = condition(GPPrior(kernel), data, noise_variance=noise)
+    queries = np.linspace(-1.2, 1.2, 9).reshape(-1, 1)
+    K_n = gram(kernel, data.X, data.X) + noise * np.eye(150)
+    K_qn = gram(kernel, queries, data.X)
+    want = np.diag(gram(kernel, queries, queries)) - np.einsum(
+        "ij,ji->i", K_qn, np.linalg.solve(K_n, K_qn.T)
+    )
+    np.testing.assert_allclose(
+        posterior_variance_at(post, queries, clamp=False), want, rtol=1e-9, atol=1e-12
+    )
+    raw = np.array([posterior_cov_raw(post, q, q) for q in queries])
+    np.testing.assert_allclose(raw, want, rtol=1e-9, atol=1e-12)
+    cross = posterior_cov_raw(post, queries[2], queries[5])
+    k_25 = gram(kernel, queries[2:3], queries[5:6])[0, 0]
+    want_cross = k_25 - K_qn[2] @ np.linalg.solve(K_n, K_qn[5])
+    assert cross == pytest.approx(want_cross, rel=1e-9, abs=1e-12)
 
 
 def test_posterior_variance_clamp_never_reports_negative_values():
