@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, PreconditionError
 from . import gp
 from .kernels import (
     Dataset,
@@ -40,7 +40,7 @@ from .kernels import (
     as_points,
     gram,
 )
-from .linalg import cholesky_with_jitter, require_invertible, solve_cholesky
+from .linalg import cholesky_with_jitter, factor_system, nonnegative
 
 __all__ = [
     "WeightVector",
@@ -54,9 +54,6 @@ __all__ = [
     "verify_error_bound",
     "verify_weight_objective",
 ]
-
-_NEGATIVE_TOLERANCE = -1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
@@ -116,15 +113,8 @@ def optimal_weights(kernel: Kernel, X, x, noise_variance: float = 0.0) -> Weight
     xv = as_point(x)
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
-    K = gram(kernel, nodes, nodes)
-    if noise_variance == 0.0:
-        require_invertible(K, name="K_XX")
-        system = K
-    else:
-        system = K + noise_variance * np.eye(nodes.shape[0])
-    L, _ = cholesky_with_jitter(system, name="K_XX + noise")
-    k_x = gram(kernel, nodes, xv[None, :])[:, 0]
-    w = solve_cholesky(L, k_x)
+    chol = factor_system(gram(kernel, nodes, nodes), noise_variance, name="K_XX")
+    w = chol.solve(gram(kernel, nodes, xv[None, :])[:, 0])
     return WeightVector(
         X=nodes, query=xv, weights=w, noise_variance=float(noise_variance)
     )
@@ -151,11 +141,7 @@ def worst_case_error(kernel: Kernel, X, weights, x) -> float:
         k_x = gram(kernel, nodes, xv[None, :])[:, 0]
         K = gram(kernel, nodes, nodes)
         squared = k_xx - 2.0 * float(w @ k_x) + float(w @ K @ w)
-    if squared < _NEGATIVE_TOLERANCE:
-        raise NumericalError(
-            f"worst-case error squared evaluated to {squared:.3e} < -1e-10"
-        )
-    return math.sqrt(max(squared, 0.0))
+    return math.sqrt(nonnegative(squared, "worst-case error squared"))
 
 
 def _conditioned(kernel: Kernel, data: Dataset, noise_variance: float):
@@ -260,8 +246,8 @@ def verify_weight_objective(
     k_x = gram(kernel, nodes, xv[None, :])[:, 0]
     k_xx = float(gram(kernel, xv[None, :], xv[None, :])[0, 0])
     system = K + noise_variance * np.eye(n)
-    L, _ = cholesky_with_jitter(system, name="K_XX + noise")
-    w_star = solve_cholesky(L, k_x)
+    # Factored directly: the gradient below needs the assembled system.
+    w_star = cholesky_with_jitter(system, name="K_XX + noise").solve(k_x)
 
     def objective(w: np.ndarray) -> float:
         wce_sq = k_xx - 2.0 * float(w @ k_x) + float(w @ K @ w)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .kernels import Kernel, as_point, as_points, gram
-from .linalg import cholesky_with_jitter, sample_gaussian, solve_cholesky
+from .linalg import factor_system, nonnegative, sample_gaussian
 
 __all__ = [
     "DiscreteMeasure",
@@ -33,9 +33,6 @@ __all__ = [
     "skme",
     "bayes_kmean_posterior",
 ]
-
-_NEGATIVE_TOLERANCE = -1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
@@ -134,12 +131,7 @@ def mmd(kernel: Kernel, P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     if atoms.shape[0] == 0:
         return 0.0
     K = gram(kernel, atoms, atoms)
-    squared = float(coeffs @ K @ coeffs)
-    if squared < _NEGATIVE_TOLERANCE:
-        raise NumericalError(
-            f"squared MMD evaluated to {squared:.3e} < -1e-10"
-        )
-    return math.sqrt(max(squared, 0.0))
+    return math.sqrt(nonnegative(float(coeffs @ K @ coeffs), "squared MMD"))
 
 
 @dataclass(frozen=True)
@@ -227,8 +219,7 @@ def skme(kernel: Kernel, sample, lam: float) -> KernelMean:
         raise InputError("regularization lambda must be positive and finite")
     K = gram(kernel, X, X)
     mu_x = K @ np.full(n, 1.0 / n)
-    L, _ = cholesky_with_jitter(K + n * lam * np.eye(n), name="K_XX + n lambda")
-    w = solve_cholesky(L, mu_x)
+    w = factor_system(K, n * lam, name="K_XX").solve(mu_x)
     return KernelMean(kernel=kernel, measure=DiscreteMeasure(X, w))
 
 
@@ -262,12 +253,7 @@ def bayes_kmean_posterior(
         raise InputError(
             "empirical_mean and query_row must match the Gram dimension"
         )
-    system = Kt + noise_variance * np.eye(n)
-    L, _ = cholesky_with_jitter(system, name="K_theta + noise")
-    mean = float(row @ solve_cholesky(L, mu))
-    variance = float(query_diag) - float(row @ solve_cholesky(L, row))
-    if variance < _NEGATIVE_TOLERANCE:
-        raise NumericalError(
-            f"posterior variance evaluated to {variance:.3e} < -1e-10"
-        )
-    return mean, max(variance, 0.0)
+    chol = factor_system(Kt, noise_variance, name="K_theta")
+    mean = float(row @ chol.solve(mu))
+    variance = float(query_diag) - float(row @ chol.solve(row))
+    return mean, nonnegative(variance, "posterior variance")

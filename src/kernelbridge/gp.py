@@ -1,14 +1,15 @@
 """Gaussian-process priors, sampling, and posterior conditioning.
 
-The posterior object stores the lower Cholesky factor of
-``K_XX + noise * I`` and the residual weights
-``(K_XX + noise * I)^{-1} (Y - m_X)``; every query is a pair of kernel
-evaluations plus triangular solves against that factor.
+The posterior object stores the :class:`~kernelbridge.linalg.Cholesky` of
+``K_XX + noise * I`` (the lower factor and the jitter its factorization
+needed) and the residual weights ``(K_XX + noise * I)^{-1} (Y - m_X)``;
+every query is a pair of kernel evaluations plus triangular solves against
+that factor.
 
 With zero noise the Gram matrix must pass the numerical invertibility gate
-(see :mod:`kernelbridge.linalg`): conditioning on duplicated inputs raises
-:class:`~kernelbridge.errors.NumericalError` instead of silently
-regularizing.
+of :func:`~kernelbridge.linalg.factor_system`: conditioning on duplicated
+inputs raises :class:`~kernelbridge.errors.NumericalError` instead of
+silently regularizing.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import Dataset, Kernel, as_point, as_points, gram
-from .linalg import (
-    _solve_lower,
-    cholesky_with_jitter,
-    require_invertible,
-    solve_cholesky,
-)
+from .linalg import Cholesky, _solve_lower, cholesky_with_jitter, factor_system
 
 __all__ = [
     "GPPrior",
@@ -66,14 +62,15 @@ class GPPrior:
 class GPPosterior:
     """A conditioned GP, stored in factorized form.
 
-    ``cholesky_factor @ cholesky_factor.T`` reconstructs
-    ``K_XX + noise_variance * I`` (plus any jitter that was needed), and
-    ``residual_weights`` solves that system against ``Y - m_X``.
+    ``cholesky.factor @ cholesky.factor.T`` reconstructs
+    ``K_XX + noise_variance * I`` plus ``cholesky.jitter * I``, the jitter the
+    factorization needed, and ``residual_weights`` solves that system
+    against ``Y - m_X``.
     """
 
     prior: GPPrior
     X: np.ndarray
-    cholesky_factor: np.ndarray
+    cholesky: Cholesky
     residual_weights: np.ndarray
     noise_variance: float
 
@@ -91,7 +88,8 @@ def sample_prior(prior: GPPrior, X, count: int, seed: int) -> np.ndarray:
     if count < 0:
         raise InputError("sample count must be nonnegative")
     K = gram(prior.kernel, P, P)
-    L, _ = cholesky_with_jitter(K, name="K_XX")
+    # Ungated: prior draws on duplicated inputs are legal, and only L is used.
+    L = cholesky_with_jitter(K, name="K_XX").factor
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((int(count), P.shape[0]))
     return prior.mean_at(P)[None, :] + u @ L.T
@@ -112,29 +110,22 @@ def condition(prior: GPPrior, data: Dataset, noise_variance: float) -> GPPosteri
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
     if data.n == 0:
-        empty = np.zeros((0, 0))
         return GPPosterior(
             prior=prior,
             X=np.zeros((0, max(data.d, 1))),
-            cholesky_factor=empty,
+            cholesky=Cholesky(np.zeros((0, 0)), 0.0),
             residual_weights=np.zeros(0),
             noise_variance=float(noise_variance),
         )
     if data.Y is None:
         raise InputError("conditioning requires a dataset with outputs")
     K = gram(prior.kernel, data.X, data.X)
-    if noise_variance == 0.0:
-        require_invertible(K, name="K_XX")
-        system = K
-    else:
-        system = K + noise_variance * np.eye(data.n)
-    L, _ = cholesky_with_jitter(system, name="K_XX + noise")
-    residual = data.Y - prior.mean_at(data.X)
-    weights = solve_cholesky(L, residual)
+    chol = factor_system(K, noise_variance, name="K_XX")
+    weights = chol.solve(data.Y - prior.mean_at(data.X))
     return GPPosterior(
         prior=prior,
         X=data.X,
-        cholesky_factor=L,
+        cholesky=chol,
         residual_weights=weights,
         noise_variance=float(noise_variance),
     )
@@ -170,8 +161,8 @@ def posterior_cov_raw(post: GPPosterior, x, y) -> float:
     k_xy = float(gram(post.prior.kernel, xv[None, :], yv[None, :])[0, 0])
     if post.X.shape[0] == 0:
         return k_xy
-    a = _solve_lower(post.cholesky_factor, _cross(post, xv[None, :]).T)[:, 0]
-    b = _solve_lower(post.cholesky_factor, _cross(post, yv[None, :]).T)[:, 0]
+    a = _solve_lower(post.cholesky.factor, _cross(post, xv[None, :]).T)[:, 0]
+    b = _solve_lower(post.cholesky.factor, _cross(post, yv[None, :]).T)[:, 0]
     return k_xy - float(a @ b)
 
 
@@ -197,6 +188,6 @@ def posterior_variance_at(post: GPPosterior, points, clamp: bool = True) -> np.n
     if post.X.shape[0] == 0:
         out = prior_diag
     else:
-        V = _solve_lower(post.cholesky_factor, _cross(post, P).T)
+        V = _solve_lower(post.cholesky.factor, _cross(post, P).T)
         out = prior_diag - np.einsum("ij,ij->j", V, V)
     return np.maximum(out, 0.0) if clamp else out

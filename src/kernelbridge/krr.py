@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import Dataset, Kernel, as_point, as_points, gram
-from .linalg import cholesky_with_jitter, require_invertible, solve_cholesky
+from .linalg import factor_system
 
 __all__ = [
     "KRREstimator",
@@ -58,9 +58,7 @@ def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> KRREstimator:
     if data.Y is None:
         raise InputError("fitting requires a dataset with outputs")
     K = gram(kernel, data.X, data.X)
-    system = K + data.n * lam * np.eye(data.n)
-    L, _ = cholesky_with_jitter(system, name="K_XX + n lambda")
-    alpha = solve_cholesky(L, data.Y)
+    alpha = factor_system(K, data.n * lam, name="K_XX").solve(data.Y)
     return KRREstimator(
         kernel=kernel,
         X=data.X,
@@ -80,9 +78,7 @@ def fit_interpolant(kernel: Kernel, data: Dataset) -> KRREstimator:
     if data.Y is None:
         raise InputError("interpolation requires a dataset with outputs")
     K = gram(kernel, data.X, data.X)
-    require_invertible(K, name="K_XX")
-    L, _ = cholesky_with_jitter(K, name="K_XX")
-    alpha = solve_cholesky(L, data.Y)
+    alpha = factor_system(K, 0.0, name="K_XX").solve(data.Y)
     return KRREstimator(
         kernel=kernel,
         X=data.X,

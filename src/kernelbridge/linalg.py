@@ -7,6 +7,12 @@ indefiniteness when factorizing a PSD matrix; it is never allowed to make a
 genuinely singular system look invertible. The invertibility verdict is a
 separate, eigenvalue-based check.
 
+:func:`factor_system` is the one entry point for the systems
+``(K + ridge * I) x = b`` that the GP and RKHS sides both solve. The gate
+rule: a noise-free system (``ridge == 0.0``) must pass
+:func:`require_invertible`; a ridged one is factored without the gate. The
+result, a :class:`Cholesky`, keeps the jitter next to the factor.
+
 Solves against a Cholesky factor are blocked triangular substitutions in
 plain numpy: O(n^2) work per right-hand side, rather than a pivoted LU of
 the already triangular factor. The diagonal blocks are solved with
@@ -17,6 +23,8 @@ verify reports stay byte-identical.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +44,23 @@ CONDITION_LIMIT = 1e12
 _BLOCK = 64
 
 
+class Cholesky(NamedTuple):
+    """Lower factor with ``factor @ factor.T`` = the matrix + ``jitter * I``."""
+
+    factor: np.ndarray
+    jitter: float
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve against the factored matrix; see :func:`solve_cholesky`."""
+        return solve_cholesky(self.factor, rhs)
+
+
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Average a matrix with its transpose."""
     return 0.5 * (matrix + matrix.T)
 
 
-def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix"):
+def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     """Lower Cholesky factor of a PSD matrix, with escalating diagonal jitter.
 
     The first attempt adds nothing. On failure, ``1e-12 * trace/n`` is added
@@ -50,15 +69,15 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix"):
 
     Returns
     -------
-    (L, jitter) : the factor with ``L @ L.T`` reconstructing the (possibly
-    jittered) input, and the amount actually added to the diagonal.
+    Cholesky(factor, jitter) : the factor with ``L @ L.T`` reconstructing the
+    (possibly jittered) input, and the amount actually added to the diagonal.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if n == 0:
-        return np.zeros((0, 0)), 0.0
+        return Cholesky(np.zeros((0, 0)), 0.0)
     try:
-        return np.linalg.cholesky(a), 0.0
+        return Cholesky(np.linalg.cholesky(a), 0.0)
     except np.linalg.LinAlgError:
         pass
     base = float(np.trace(a)) / n
@@ -72,7 +91,7 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix"):
     ceiling = JITTER_CEILING * base
     while jitter <= ceiling * (1.0 + 1e-12):
         try:
-            return np.linalg.cholesky(a + jitter * eye), jitter
+            return Cholesky(np.linalg.cholesky(a + jitter * eye), jitter)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
@@ -153,6 +172,29 @@ def require_invertible(matrix: np.ndarray, name: str = "matrix") -> None:
             f"{name} is numerically singular (condition number {cond:.3e} "
             f"exceeds {CONDITION_LIMIT:.1e})"
         )
+
+
+def factor_system(gram: np.ndarray, ridge: float, name: str = "matrix") -> Cholesky:
+    """Factor ``gram + ridge * I``; with ``ridge == 0.0`` gate ``gram`` first.
+
+    The ridge is added as given, so the factored matrix is bit for bit the
+    one a caller would assemble itself.
+    """
+    if ridge == 0.0:
+        require_invertible(gram, name=name)
+        return cholesky_with_jitter(gram, name=name)
+    system = gram + ridge * np.eye(len(gram))
+    return cholesky_with_jitter(system, name=f"{name} + ridge")
+
+
+def nonnegative(value: float, what: str) -> float:
+    """Clamp a nonnegative-in-exact-arithmetic ``value`` at 0.
+
+    Below -1e-10 it signals a bug rather than roundoff, and raises.
+    """
+    if value < -1e-10:
+        raise NumericalError(f"{what} evaluated to {value:.3e} < -1e-10")
+    return max(value, 0.0)
 
 
 def sample_gaussian(

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, UnsupportedOperationError
+from .errors import InputError, UnsupportedOperationError
 from . import gp
 from .duality import IdentityReport
 from .embeddings import DiscreteMeasure, mean_embed, mmd
 from .kernels import Dataset, Kernel, Matern, as_point, as_points, gram
-from .linalg import cholesky_with_jitter, require_invertible, solve_cholesky
+from .linalg import cholesky_with_jitter, factor_system, nonnegative
 
 __all__ = [
     "QuadratureRule",
@@ -78,13 +78,7 @@ def kq_weights(
         )
     K = gram(kernel, P, P)
     mu_x = mean_embed(kernel, target).at(P)
-    if lam == 0.0:
-        require_invertible(K, name="K_XX")
-        system = K
-    else:
-        system = K + n * lam * np.eye(n)
-    L, _ = cholesky_with_jitter(system, name="K_XX + n lambda")
-    w = solve_cholesky(L, mu_x)
+    w = factor_system(K, n * lam, name="K_XX").solve(mu_x)
     K_tt = gram(kernel, target.atoms, target.atoms)
     double_integral = float(target.weights @ K_tt @ target.weights)
     return QuadratureRule(
@@ -104,6 +98,9 @@ def bq_posterior(rule: QuadratureRule, f_values, lam: float = 0.0):
     ``lam`` must match the regularization the rule was built with; the
     noise variance of the Bayesian model is ``n * lam``. Returns
     ``(mean, variance)``.
+
+    The system is factored without the invertibility gate: ``kq_weights``
+    already gated this Gram matrix when it built the rule.
     """
     f = np.asarray(f_values, dtype=float).reshape(-1)
     if f.shape[0] != rule.n:
@@ -120,15 +117,12 @@ def bq_posterior(rule: QuadratureRule, f_values, lam: float = 0.0):
     K = gram(rule.kernel, rule.nodes, rule.nodes)
     noise = rule.n * rule.regularization
     system = K + noise * np.eye(rule.n) if noise > 0 else K
-    L, _ = cholesky_with_jitter(system, name="K_XX + noise")
+    # Ungated: kq_weights already gated this K (see the docstring).
+    chol = cholesky_with_jitter(system, name="K_XX + noise")
     mu = rule.target_mean_at_nodes
-    mean = float(mu @ solve_cholesky(L, f))
-    variance = rule.target_double_integral - float(mu @ solve_cholesky(L, mu))
-    if variance < -1e-10:
-        raise NumericalError(
-            f"integral posterior variance evaluated to {variance:.3e} < -1e-10"
-        )
-    return mean, max(variance, 0.0)
+    mean = float(mu @ chol.solve(f))
+    variance = rule.target_double_integral - float(mu @ chol.solve(mu))
+    return mean, nonnegative(variance, "integral posterior variance")
 
 
 def verify_bq_kq_identity(rule: QuadratureRule) -> IdentityReport:

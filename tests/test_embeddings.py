@@ -14,7 +14,7 @@ from kernelbridge.embeddings import (
     skme,
     verify_average_case,
 )
-from kernelbridge.errors import InputError
+from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.kernels import (
     Matern,
     SquaredExponential,
@@ -316,6 +316,12 @@ def test_damped_posterior_variance_stays_inside_the_prior_range():
     for i in range(6):
         _, variance = bayes_kmean_posterior(Kt, mu, 0.1, Kt[i], Kt[i, i])
         assert 0.0 <= variance <= Kt[i, i] + 1e-12
+
+
+def test_a_negative_posterior_variance_beyond_roundoff_raises():
+    # -1 - [1, 0] (I + I)^{-1} [1, 0] = -1.5
+    with pytest.raises(NumericalError, match="posterior variance evaluated to -1.500e"):
+        bayes_kmean_posterior(np.eye(2), [0, 0], 1.0, [1, 0], -1.0)
 
 
 def test_posterior_validates_shapes_and_noise():

@@ -111,6 +111,16 @@ def test_noise_free_conditioning_on_conflicting_duplicates_fails():
         condition(prior, Dataset(X, Y), noise_variance=0.0)
 
 
+def test_the_posterior_keeps_the_jitter_of_its_factorization():
+    # 1e-300 vanishes next to k(x, x) = 1, so only the jitter makes the
+    # duplicated-input system factorable.
+    prior = GPPrior(SquaredExponential())
+    X = np.array([[0.5], [0.5]])
+    post = condition(prior, Dataset(X, np.array([0.0, 1.0])), noise_variance=1e-300)
+    assert post.cholesky.jitter > 0.0
+    assert condition(prior, make_data(0, 4), 0.1).cholesky.jitter == 0.0
+
+
 def test_noisy_conditioning_tolerates_duplicated_inputs():
     prior = GPPrior(SquaredExponential())
     X = np.array([[0.5], [0.5]])

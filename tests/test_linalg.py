@@ -1,12 +1,19 @@
 """Factorization, jitter escalation, conditioning checks, Gaussian sampling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kernelbridge
 from kernelbridge.errors import NumericalError
+from kernelbridge.kernels import Matern, gram
 from kernelbridge.linalg import (
+    Cholesky,
     _solve_lower,
     cholesky_with_jitter,
+    factor_system,
+    nonnegative,
     require_invertible,
     sample_gaussian,
     solve_cholesky,
@@ -143,6 +150,55 @@ def test_require_invertible_rejects_a_duplicated_row_gram_matrix():
 def test_require_invertible_rejects_extreme_conditioning():
     with pytest.raises(NumericalError):
         require_invertible(np.diag([1.0, 1e-14]), "K")
+
+
+def test_factor_system_gates_only_the_noise_free_system():
+    v = np.array([[1.0], [2.0], [3.0]])
+    M = v @ v.T
+    with pytest.raises(NumericalError, match="M is numerically singular"):
+        factor_system(M, 0.0, "M")
+    # 1e-300 is lost to roundoff against entries of order 1, so the ridged
+    # system is still singular and the jitter schedule rescues it.
+    L, jitter = factor_system(M, 1e-300, "M")
+    assert jitter > 0.0
+    np.testing.assert_allclose(L @ L.T, M + jitter * np.eye(3), rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3, 0.7])
+@pytest.mark.parametrize("n", [5, 200])
+def test_factor_system_is_bitwise_the_hand_assembled_factorization(n, ridge):
+    X = np.linspace(-1.0, 1.0, n)[:, None]
+    K = gram(Matern(alpha=1.5, h=0.3 if n == 5 else 0.05), X, X)
+    result = factor_system(K, ridge, "K")
+    assert isinstance(result, Cholesky)
+    system = K + ridge * np.eye(n) if ridge else K
+    L, jitter = cholesky_with_jitter(system, "K")
+    np.testing.assert_array_equal(result.factor, L)
+    assert result.jitter == jitter == result[1]
+    rng = np.random.default_rng(n)
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        np.testing.assert_array_equal(result.solve(rhs), solve_cholesky(L, rhs))
+
+
+def test_nonnegative_raises_below_the_roundoff_floor_and_clamps_above_it():
+    with pytest.raises(NumericalError, match="squared norm evaluated to -2.000e-10"):
+        nonnegative(-2e-10, "squared norm")
+    assert nonnegative(-1e-11, "squared norm") == 0.0
+    assert nonnegative(0.25, "squared norm") == 0.25
+
+
+def test_only_linalg_factors_gates_or_solves():
+    # Every other module reaches these through factor_system and Cholesky.
+    forbidden = ("np.linalg.cholesky", "np.linalg.solve", "require_invertible(", "solve_cholesky")
+    package = Path(kernelbridge.__file__).parent
+    offenders = [
+        (path.name, token)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for token in forbidden
+        if token in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_sample_gaussian_zeroes_clamped_directions_exactly():

@@ -2,13 +2,14 @@
 fill distances, variance contraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import _oracles as oracles
 from kernelbridge.embeddings import DiscreteMeasure, mean_embed
-from kernelbridge.errors import InputError, UnsupportedOperationError
+from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
 from kernelbridge.kernels import (
     Matern,
     SquaredExponential,
@@ -151,6 +152,12 @@ def test_constant_functions_integrate_to_the_constant_on_matched_nodes():
     rule = kq_weights(SquaredExponential(gamma=0.9), atoms, target)
     mean, _ = bq_posterior(rule, np.full(4, 2.5))
     assert mean == pytest.approx(2.5, abs=1e-9)
+
+
+def test_a_negative_integral_variance_beyond_roundoff_raises():
+    rule = replace(two_node_rule(), target_double_integral=-1.0)
+    with pytest.raises(NumericalError, match="integral posterior variance evaluated"):
+        bq_posterior(rule, np.zeros(2))
 
 
 def test_the_zero_function_has_zero_posterior_mean():
