@@ -40,7 +40,7 @@ from .kernels import (
     as_points,
     gram,
 )
-from .linalg import cholesky_with_jitter, factor_system, nonnegative
+from .linalg import cholesky_with_jitter, factor_system, nonnegative, shift_diagonal
 
 __all__ = [
     "WeightVector",
@@ -245,7 +245,7 @@ def verify_weight_objective(
     K = gram(kernel, nodes, nodes)
     k_x = gram(kernel, nodes, xv[None, :])[:, 0]
     k_xx = float(gram(kernel, xv[None, :], xv[None, :])[0, 0])
-    system = K + noise_variance * np.eye(n)
+    system = shift_diagonal(K, noise_variance)
     # Factored directly: the gradient below needs the assembled system.
     w_star = cholesky_with_jitter(system, name="K_XX + noise").solve(k_x)
 

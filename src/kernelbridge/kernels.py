@@ -27,6 +27,30 @@ BrownianDistance    ``||x|| + ||y|| - ||x - y||``
 
 The delta kernel compares coordinates by exact floating-point equality;
 callers needing tolerance must canonicalize their inputs first.
+
+Exactness of Gram assembly
+--------------------------
+Distances are built from the per-coordinate differences ``a_k - b_k``
+only, never as ``|a|^2 + |b|^2 - 2 a.b``: that form cancels, so duplicate
+points would not get distance exactly 0, and the bitwise delta kernel and
+the duplicate checks depend on it. The layout of the work depends on ``d``
+alone:
+
+- ``d == 1``: the distance is ``|a - b|``, exact. It equals
+  ``sqrt(fl((a - b)^2))`` bit for bit except where that square underflows
+  (``|a - b|`` below about ``1.5e-154``) or overflows, and there ``|a - b|``
+  is the correct value. The Brownian kernel's norms are ``|a|`` to match.
+- ``d == 2``: the squares are summed coordinate by coordinate into one
+  ``(n, m)`` array, which is the order ``einsum`` uses, so the result is
+  bitwise the ``einsum`` one.
+- ``d >= 3``: ``einsum`` over the ``(n, m, d)`` difference tensor. Its
+  SIMD summation order is not coordinate order (at ``d == 3`` it is
+  ``(x0^2 + x2^2) + x1^2`` on current numpy builds), so a coordinate loop
+  would change the last bits, and with them seeded reports.
+
+Kernel tails then run in place on that one array, with the operations of
+the closed forms above in the same order, so every Gram entry is the value
+the plain expression gives.
 """
 
 from __future__ import annotations
@@ -94,12 +118,32 @@ def as_points(A) -> np.ndarray:
 
 
 def _pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances from the per-coordinate differences.
+
+    For ``d`` of 1 or 2 the squares are summed one coordinate at a time into
+    one ``(n, m)`` array. Otherwise ``einsum`` sums them in its own order,
+    which a coordinate loop would not reproduce bit for bit at ``d >= 3``
+    (see the module docstring).
+    """
+    if A.shape[1] not in (1, 2):
+        diff = A[:, None, :] - B[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+    out = np.subtract.outer(A[:, 0], B[:, 0])
+    out *= out
+    for k in range(1, A.shape[1]):
+        term = np.subtract.outer(A[:, k], B[:, k])
+        term *= term
+        out += term
+    return out
 
 
 def _pairwise_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.sqrt(_pairwise_sqdist(A, B))
+    """Euclidean distances; exactly ``|a - b|`` on the line."""
+    if A.shape[1] == 1:
+        out = np.subtract.outer(A[:, 0], B[:, 0])
+        return np.abs(out, out=out)
+    out = _pairwise_sqdist(A, B)
+    return np.sqrt(out, out=out)
 
 
 def _require_param(condition: bool, message: str) -> None:
@@ -110,9 +154,10 @@ def _require_param(condition: bool, message: str) -> None:
 class Kernel:
     """Base class for kernel descriptors.
 
-    Subclasses implement ``_gram`` on validated ``(n, d)`` arrays; the
-    public entry points :func:`eval` and :func:`gram` handle coercion and
-    shape checks.
+    Subclasses implement ``_gram`` on validated ``(n, d)`` arrays, returning
+    a new array that shares no memory with its inputs (the composites write
+    into it); the public entry points :func:`eval` and :func:`gram` handle
+    coercion and shape checks.
     """
 
     def _gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -138,7 +183,10 @@ class SquaredExponential(Kernel):
         )
 
     def _gram(self, A, B):
-        return np.exp(-_pairwise_sqdist(A, B) / self.gamma**2)
+        out = _pairwise_sqdist(A, B)
+        np.negative(out, out=out)
+        out /= self.gamma**2
+        return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -166,14 +214,25 @@ class Matern(Kernel):
         )
 
     def _gram(self, A, B):
-        r = _pairwise_dist(A, B)
+        # In place on the distance array, with the operations of the closed
+        # forms in the module docstring, in the same order.
+        t = _pairwise_dist(A, B)
         if self.alpha == 0.5:
-            return np.exp(-r / self.h)
+            np.negative(t, out=t)
+            t /= self.h
+            return np.exp(t, out=t)
+        t *= math.sqrt(3.0 if self.alpha == 1.5 else 5.0) / self.h
+        e = np.negative(t)
+        np.exp(e, out=e)
         if self.alpha == 1.5:
-            t = (math.sqrt(3.0) / self.h) * r
-            return (1.0 + t) * np.exp(-t)
-        t = (math.sqrt(5.0) / self.h) * r
-        return (1.0 + t + t * t / 3.0) * np.exp(-t)
+            t += 1.0
+        else:
+            q = t * t
+            q /= 3.0
+            t += 1.0
+            t += q
+        t *= e
+        return t
 
 
 @dataclass(frozen=True)
@@ -197,7 +256,10 @@ class Polynomial(Kernel):
         )
 
     def _gram(self, A, B):
-        return (A @ B.T + self.c) ** self.degree
+        out = A @ B.T
+        out += self.c
+        out **= self.degree
+        return out
 
 
 @dataclass(frozen=True)
@@ -213,7 +275,9 @@ class KroneckerDelta(Kernel):
         )
 
     def _gram(self, A, B):
-        equal = np.all(A[:, None, :] == B[None, :, :], axis=-1)
+        equal = np.ones((A.shape[0], B.shape[0]), dtype=bool)
+        for k in range(A.shape[1]):
+            equal &= np.equal.outer(A[:, k], B[:, k])
         return self.scale * equal.astype(float)
 
 
@@ -227,9 +291,15 @@ class BrownianDistance(Kernel):
     """
 
     def _gram(self, A, B):
-        na = np.linalg.norm(A, axis=1)
-        nb = np.linalg.norm(B, axis=1)
-        return na[:, None] + nb[None, :] - _pairwise_dist(A, B)
+        # On the line the norms are |a|, exact like the distances |a - b|:
+        # a squared norm could underflow where the distance does not, and
+        # the matrix would lose positive semi-definiteness.
+        if A.shape[1] == 1:
+            na, nb = np.abs(A[:, 0]), np.abs(B[:, 0])
+        else:
+            na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
+        r = _pairwise_dist(A, B)
+        return np.subtract(np.add.outer(na, nb), r, out=r)
 
 
 @dataclass(frozen=True)
@@ -246,7 +316,9 @@ class Sum(Kernel):
         )
 
     def _gram(self, A, B):
-        return self.left._gram(A, B) + self.right._gram(A, B)
+        out = self.left._gram(A, B)
+        out += self.right._gram(A, B)
+        return out
 
 
 @dataclass(frozen=True)
@@ -263,7 +335,9 @@ class Product(Kernel):
         )
 
     def _gram(self, A, B):
-        return self.left._gram(A, B) * self.right._gram(A, B)
+        out = self.left._gram(A, B)
+        out *= self.right._gram(A, B)
+        return out
 
 
 @dataclass(frozen=True)
@@ -281,7 +355,9 @@ class Scaled(Kernel):
         )
 
     def _gram(self, A, B):
-        return self.factor * self.base._gram(A, B)
+        out = self.base._gram(A, B)
+        out *= self.factor
+        return out
 
 
 def eval(kernel: Kernel, x, y) -> float:

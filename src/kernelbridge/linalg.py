@@ -60,6 +60,17 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
+def shift_diagonal(matrix: np.ndarray, value: float) -> np.ndarray:
+    """A float copy of the square ``matrix`` with ``value`` added to its diagonal.
+
+    The diagonal is bitwise that of ``matrix`` plus ``value`` times the
+    identity, but no identity is built; ``matrix`` is not modified.
+    """
+    out = np.array(matrix, dtype=float)
+    out.flat[:: out.shape[0] + 1] += value
+    return out
+
+
 def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     """Lower Cholesky factor of a PSD matrix, with escalating diagonal jitter.
 
@@ -86,12 +97,11 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
             f"Cholesky factorization of {name} failed and its trace admits no "
             "jitter scale"
         )
-    eye = np.eye(n)
     jitter = JITTER_INITIAL * base
     ceiling = JITTER_CEILING * base
     while jitter <= ceiling * (1.0 + 1e-12):
         try:
-            return Cholesky(np.linalg.cholesky(a + jitter * eye), jitter)
+            return Cholesky(np.linalg.cholesky(shift_diagonal(a, jitter)), jitter)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
@@ -183,7 +193,7 @@ def factor_system(gram: np.ndarray, ridge: float, name: str = "matrix") -> Chole
     if ridge == 0.0:
         require_invertible(gram, name=name)
         return cholesky_with_jitter(gram, name=name)
-    system = gram + ridge * np.eye(len(gram))
+    system = shift_diagonal(gram, ridge)
     return cholesky_with_jitter(system, name=f"{name} + ridge")
 
 

@@ -25,8 +25,8 @@ from .errors import InputError, UnsupportedOperationError
 from . import gp
 from .duality import IdentityReport
 from .embeddings import DiscreteMeasure, mean_embed, mmd
-from .kernels import Dataset, Kernel, Matern, as_point, as_points, gram
-from .linalg import cholesky_with_jitter, factor_system, nonnegative
+from .kernels import Dataset, Kernel, Matern, _pairwise_dist, as_point, as_points, gram
+from .linalg import cholesky_with_jitter, factor_system, nonnegative, shift_diagonal
 
 __all__ = [
     "QuadratureRule",
@@ -116,7 +116,7 @@ def bq_posterior(rule: QuadratureRule, f_values, lam: float = 0.0):
         )
     K = gram(rule.kernel, rule.nodes, rule.nodes)
     noise = rule.n * rule.regularization
-    system = K + noise * np.eye(rule.n) if noise > 0 else K
+    system = shift_diagonal(K, noise) if noise > 0 else K
     # Ungated: kq_weights already gated this K (see the docstring).
     chol = cholesky_with_jitter(system, name="K_XX + noise")
     mu = rule.target_mean_at_nodes
@@ -176,8 +176,7 @@ def fill_distance(domain_lo, domain_hi, X, x, rho: float, resolution: float) -> 
         raise InputError(
             "no grid points fall inside the domain within rho of the query"
         )
-    diff = candidates[:, None, :] - nodes[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dists = _pairwise_dist(candidates, nodes)
     return float(dists.min(axis=1).max())
 
 

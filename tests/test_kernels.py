@@ -93,10 +93,14 @@ def test_brownian_kernel_is_twice_the_minimum_on_the_half_line():
 
 def test_brownian_kernel_is_psd_on_the_two_point_set():
     # the set {0, 1} is the minimal witness separating the coefficient-1
-    # cross term from a coefficient-2 variant, which has negative determinant
-    K = gram(BrownianDistance(), [0.0, 1.0], [0.0, 1.0])
-    assert np.linalg.det(K) >= 0.0
-    assert np.all(np.linalg.eigvalsh(K) >= -1e-12)
+    # cross term from a coefficient-2 variant, which has negative determinant;
+    # at {1e-200, 2e-200} squared norms underflow where |a - b| does not, so
+    # norms and distances must be taken the same exact way
+    for points in ([0.0, 1.0], [1e-200, 2e-200]):
+        K = gram(BrownianDistance(), points, points)
+        assert np.linalg.det(K) >= 0.0
+        assert np.all(np.linalg.eigvalsh(K) >= -1e-12)
+    np.testing.assert_array_equal(K, [[2e-200, 2e-200], [2e-200, 4e-200]])
 
 
 @pytest.mark.parametrize("kernel", LEAF_FAMILIES + COMPOSITE_FAMILIES)
@@ -209,6 +213,53 @@ def test_composite_grams_equal_their_componentwise_combinations():
     np.testing.assert_array_equal(
         gram(Scaled(left, 2.5), X, X), 2.5 * gram(left, X, X)
     )
+
+
+def reference_gram(kernel, A, B):
+    """Gram assembly through the full (n, m, d) difference tensor."""
+    diff = A[:, None, :] - B[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    if isinstance(kernel, SquaredExponential):
+        return np.exp(-sq / kernel.gamma**2)
+    if isinstance(kernel, Matern):
+        r = np.sqrt(sq)
+        if kernel.alpha == 0.5:
+            return np.exp(-r / kernel.h)
+        if kernel.alpha == 1.5:
+            t = (math.sqrt(3.0) / kernel.h) * r
+            return (1.0 + t) * np.exp(-t)
+        t = (math.sqrt(5.0) / kernel.h) * r
+        return (1.0 + t + t * t / 3.0) * np.exp(-t)
+    if isinstance(kernel, Polynomial):
+        return (A @ B.T + kernel.c) ** kernel.degree
+    if isinstance(kernel, KroneckerDelta):
+        equal = np.all(A[:, None, :] == B[None, :, :], axis=-1)
+        return kernel.scale * equal.astype(float)
+    if isinstance(kernel, BrownianDistance):
+        na = np.linalg.norm(A, axis=1)
+        nb = np.linalg.norm(B, axis=1)
+        return na[:, None] + nb[None, :] - np.sqrt(sq)
+    if isinstance(kernel, Sum):
+        return reference_gram(kernel.left, A, B) + reference_gram(kernel.right, A, B)
+    if isinstance(kernel, Product):
+        return reference_gram(kernel.left, A, B) * reference_gram(kernel.right, A, B)
+    return kernel.factor * reference_gram(kernel.base, A, B)
+
+
+@pytest.mark.parametrize("kernel", LEAF_FAMILIES + COMPOSITE_FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", [(0, 4), (1, 1), (7, 5), (64, 33)])
+def test_gram_is_bitwise_the_difference_tensor_formula(kernel, d, n, m):
+    A = random_points(100 + n, n, d)
+    B = random_points(200 + m, m, d)
+    if n and m:
+        B[0] = A[-1]  # one exact duplicate: distance 0, delta 1
+    A_before, B_before = A.copy(), B.copy()
+    K = gram(kernel, A, B)
+    np.testing.assert_array_equal(K, reference_gram(kernel, A, B), strict=True)
+    np.testing.assert_array_equal(A, A_before)
+    np.testing.assert_array_equal(B, B_before)
+    assert not np.shares_memory(K, A) and not np.shares_memory(K, B)
 
 
 def test_gram_rejects_mismatched_dimensions():

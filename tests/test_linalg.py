@@ -16,6 +16,7 @@ from kernelbridge.linalg import (
     nonnegative,
     require_invertible,
     sample_gaussian,
+    shift_diagonal,
     solve_cholesky,
     spd_stats,
     symmetrize,
@@ -169,7 +170,9 @@ def test_factor_system_gates_only_the_noise_free_system():
 def test_factor_system_is_bitwise_the_hand_assembled_factorization(n, ridge):
     X = np.linspace(-1.0, 1.0, n)[:, None]
     K = gram(Matern(alpha=1.5, h=0.3 if n == 5 else 0.05), X, X)
+    K_before = K.copy()
     result = factor_system(K, ridge, "K")
+    np.testing.assert_array_equal(K, K_before)
     assert isinstance(result, Cholesky)
     system = K + ridge * np.eye(n) if ridge else K
     L, jitter = cholesky_with_jitter(system, "K")
@@ -178,6 +181,18 @@ def test_factor_system_is_bitwise_the_hand_assembled_factorization(n, ridge):
     rng = np.random.default_rng(n)
     for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
         np.testing.assert_array_equal(result.solve(rhs), solve_cholesky(L, rhs))
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_shift_diagonal_is_bitwise_the_identity_sum_on_a_copy(n):
+    M = random_spd(n, n) if n else np.zeros((0, 0))
+    M_before = M.copy()
+    shifted = shift_diagonal(M, 0.37)
+    np.testing.assert_array_equal(shifted, M + 0.37 * np.eye(n), strict=True)
+    np.testing.assert_array_equal(M, M_before)
+    assert not np.shares_memory(shifted, M)
+    # column-major input: the diagonal is still the diagonal
+    np.testing.assert_array_equal(shift_diagonal(np.asfortranarray(M), 0.37), shifted)
 
 
 def test_nonnegative_raises_below_the_roundoff_floor_and_clamps_above_it():
