@@ -6,7 +6,9 @@ dataset; ``rates`` runs the convergence-rate experiment; ``sample``,
 ``mmd``, ``hsic`` and ``quadrature`` wrap the corresponding library
 calls. Every command accepts ``--out`` to write its JSON to a file
 instead of stdout, and identical arguments with the same seed produce
-byte-identical output apart from the ``wall_time`` line.
+byte-identical output apart from the ``wall_time`` line. Each ``_cmd_*``
+handler returns its own keys and an exit code; :func:`main` times it and
+writes the report with ``schema`` first and ``wall_time`` last.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
 usage, parse, or input errors. No other codes are used.
@@ -22,6 +24,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .kernels import Dataset, format_kernel, parse_kernel
-from .reporting import SCHEMA_VERSION, json_text, report_dict
+from .reporting import SCHEMA_VERSION, json_text
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "entrypoint"]
@@ -159,16 +162,19 @@ def _write_predictions(path: str, points: np.ndarray, values: np.ndarray) -> Non
         raise InputError(f"could not write {path}: {exc}") from None
 
 
-def _cmd_verify(args) -> int:
-    start = time.perf_counter()
-    cases = run_suite(args.suite, args.seed, args.trials)
-    report = report_dict(args.suite, cases, args.seed, time.perf_counter() - start)
-    _emit(report, args.out)
-    return 0 if all(case.passed for case in cases) else 1
+def _cmd_verify(args):
+    cases = sorted(
+        run_suite(args.suite, args.seed, args.trials), key=lambda case: case.case_id
+    )
+    body = {
+        "suite": args.suite,
+        "seed": int(args.seed),
+        "cases": [asdict(case) for case in cases],
+    }
+    return body, 0 if all(case.passed for case in cases) else 1
 
 
-def _cmd_regress(args) -> int:
-    start = time.perf_counter()
+def _cmd_regress(args):
     kernel = parse_kernel(args.kernel)
     data = _load_dataset(args.data)
     queries = _load_points(args.queries) if args.queries else data.X
@@ -177,62 +183,53 @@ def _cmd_regress(args) -> int:
             f"queries have dimension {queries.shape[1]} but the data has "
             f"dimension {data.d}"
         )
-    payload: dict = {
-        "schema": SCHEMA_VERSION,
-        "command": "regress",
-        "mode": args.mode,
-        "kernel": format_kernel(kernel),
-        "n": data.n,
-        "d": data.d,
-    }
-    exit_code = 0
-    if args.mode == "krr":
-        if args.lam is None:
-            raise InputError("krr mode requires --lambda")
-        payload["lambda"] = args.lam
-        estimator = krr.fit_krr(kernel, data, args.lam)
-        predictions = krr.predict_at(estimator, queries)
-    elif args.mode == "gp":
-        if args.sigma2 is None:
-            raise InputError("gp mode requires --sigma2")
-        payload["sigma2"] = args.sigma2
-        post = gp.condition(gp.GPPrior(kernel), data, args.sigma2)
-        predictions = gp.posterior_mean_at(post, queries)
-    else:
-        if args.lam is None:
-            raise InputError("both mode requires --lambda")
+    if args.mode != "gp" and args.lam is None:
+        raise InputError(f"{args.mode} mode requires --lambda")
+    sigma2 = args.sigma2
+    if args.mode == "both":
         sigma2 = data.n * args.lam
         if args.sigma2 is not None and args.sigma2 != sigma2:
             raise InputError(
                 f"both mode requires sigma2 = n * lambda = {sigma2!r}, got "
                 f"{args.sigma2!r}"
             )
-        payload["lambda"] = args.lam
-        payload["sigma2"] = sigma2
-        estimator = krr.fit_krr(kernel, data, args.lam)
-        predictions = krr.predict_at(estimator, queries)
+    if args.mode == "gp" and sigma2 is None:
+        raise InputError("gp mode requires --sigma2")
+    body: dict = {
+        "command": "regress",
+        "mode": args.mode,
+        "kernel": format_kernel(kernel),
+        "n": data.n,
+        "d": data.d,
+    }
+    if args.mode != "gp":
+        body["lambda"] = args.lam
+        predictions = krr.predict_at(krr.fit_krr(kernel, data, args.lam), queries)
+    if args.mode != "krr":
+        body["sigma2"] = sigma2
         post = gp.condition(gp.GPPrior(kernel), data, sigma2)
         gp_predictions = gp.posterior_mean_at(post, queries)
+    exit_code = 0
+    if args.mode == "gp":
+        predictions = gp_predictions
+    elif args.mode == "both":
         discrepancy = (
             float(np.max(np.abs(predictions - gp_predictions)))
             if queries.shape[0]
             else 0.0
         )
-        payload["discrepancy"] = discrepancy
+        body["discrepancy"] = discrepancy
         if discrepancy > _BOTH_MODE_TOLERANCE:
             exit_code = 1
     if args.predictions_out:
         _write_predictions(args.predictions_out, queries, predictions)
-        payload["predictions_path"] = args.predictions_out
+        body["predictions_path"] = args.predictions_out
     else:
-        payload["predictions"] = [float(v) for v in predictions]
-    payload["wall_time"] = time.perf_counter() - start
-    _emit(payload, args.out)
-    return exit_code
+        body["predictions"] = [float(v) for v in predictions]
+    return body, exit_code
 
 
-def _cmd_rates(args) -> int:
-    start = time.perf_counter()
+def _cmd_rates(args):
     kernel = parse_kernel(args.kernel)
     sizes = _parse_sizes(args.sizes)
     result = experiments.rate_experiment(
@@ -243,28 +240,23 @@ def _cmd_rates(args) -> int:
         seed=args.seed,
         lambda_coefficient=args.coefficient,
     )
-    payload = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "command": "rates",
         "target": args.target,
         "kernel": format_kernel(kernel),
         "replications": args.replications,
         "lambda_coefficient": args.coefficient,
         "seed": args.seed,
-        **result.as_dict(),
-        "wall_time": time.perf_counter() - start,
+        **asdict(result),
     }
-    _emit(payload, args.out)
-    return 0
+    return body, 0
 
 
-def _cmd_sample(args) -> int:
-    start = time.perf_counter()
+def _cmd_sample(args):
     kernel = parse_kernel(args.kernel)
     points = _load_points(args.points)
     draws = gp.sample_prior(gp.GPPrior(kernel), points, args.count, args.seed)
-    payload = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "command": "sample",
         "kernel": format_kernel(kernel),
         "n": points.shape[0],
@@ -272,39 +264,31 @@ def _cmd_sample(args) -> int:
         "count": args.count,
         "seed": args.seed,
         "draws": [[float(v) for v in row] for row in draws],
-        "wall_time": time.perf_counter() - start,
     }
-    _emit(payload, args.out)
-    return 0
+    return body, 0
 
 
-def _cmd_mmd(args) -> int:
-    start = time.perf_counter()
+def _cmd_mmd(args):
     kernel = parse_kernel(args.kernel)
     P = _load_measure(args.p)
     Q = _load_measure(args.q)
     value = embeddings.mmd(kernel, P, Q)
-    payload = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "command": "mmd",
         "kernel": format_kernel(kernel),
         "p_atoms": P.m,
         "q_atoms": Q.m,
         "mmd": value,
         "mmd_squared": value * value,
-        "wall_time": time.perf_counter() - start,
     }
-    _emit(payload, args.out)
-    return 0
+    return body, 0
 
 
-def _cmd_hsic(args) -> int:
-    start = time.perf_counter()
+def _cmd_hsic(args):
     kx = parse_kernel(args.kernel_x)
     ky = parse_kernel(args.kernel_y)
     sample = PairedSample(_load_points(args.x), _load_points(args.y))
-    payload = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "command": "hsic",
         "kernel_x": format_kernel(kx),
         "kernel_y": format_kernel(ky),
@@ -314,23 +298,19 @@ def _cmd_hsic(args) -> int:
     }
     if args.draws is not None:
         estimate, se = hsic_gp_monte_carlo(kx, ky, sample, args.draws, args.seed)
-        payload["mc_estimate"] = estimate
-        payload["mc_se"] = se
-        payload["seed"] = args.seed
-    payload["wall_time"] = time.perf_counter() - start
-    _emit(payload, args.out)
-    return 0
+        body["mc_estimate"] = estimate
+        body["mc_se"] = se
+        body["seed"] = args.seed
+    return body, 0
 
 
-def _cmd_quadrature(args) -> int:
-    start = time.perf_counter()
+def _cmd_quadrature(args):
     kernel = parse_kernel(args.kernel)
     nodes = _load_points(args.nodes)
     target = _load_measure(args.target)
     rule = quadrature.kq_weights(kernel, nodes, target, args.lam)
     _, variance = quadrature.bq_posterior(rule, np.zeros(rule.n), args.lam)
-    payload = {
-        "schema": SCHEMA_VERSION,
+    body = {
         "command": "quadrature",
         "kernel": format_kernel(kernel),
         "n": rule.n,
@@ -341,10 +321,8 @@ def _cmd_quadrature(args) -> int:
     if args.f_values:
         f = _load_column(args.f_values, "f")
         mean, _ = quadrature.bq_posterior(rule, f, args.lam)
-        payload["mean"] = mean
-    payload["wall_time"] = time.perf_counter() - start
-    _emit(payload, args.out)
-    return 0
+        body["mean"] = mean
+    return body, 0
 
 
 def _parse_sizes(text: str):
@@ -441,7 +419,11 @@ def main(argv=None) -> int:
         code = exc.code
         return 2 if code not in (0, None) else 0
     try:
-        return args.handler(args)
+        start = time.perf_counter()
+        body, exit_code = args.handler(args)
+        elapsed = time.perf_counter() - start
+        _emit({"schema": SCHEMA_VERSION, **body, "wall_time": elapsed}, args.out)
+        return exit_code
     except (
         InputError,
         PreconditionError,

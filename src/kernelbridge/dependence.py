@@ -57,6 +57,16 @@ def _centerer(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
+def _clamp_roundoff(value: float) -> float:
+    """Clamp a statistic at 0; below -1e-12 it is not roundoff, and raises."""
+    if value < -1e-12:
+        raise NumericalError(
+            f"dependence statistic evaluated to {value:.3e}; the Gram "
+            "matrices are not positive semidefinite"
+        )
+    return max(value, 0.0)
+
+
 def hsic_empirical(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample) -> float:
     """V-statistic dependence measure ``(1/n^2) trace(K H L H)``."""
     n = sample.n
@@ -66,15 +76,7 @@ def hsic_empirical(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample) -> 
     L = gram(kernel_y, sample.Y, sample.Y)
     H = _centerer(n)
     Kc = H @ K @ H
-    value = float((Kc * L).sum()) / (n * n)
-    if value < 0.0:
-        if value < -1e-12:
-            raise NumericalError(
-                f"dependence statistic evaluated to {value:.3e}; the Gram "
-                "matrices are not positive semidefinite"
-            )
-        value = 0.0
-    return value
+    return _clamp_roundoff(float((Kc * L).sum()) / (n * n))
 
 
 def hsic_gp_exact(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample) -> float:
@@ -90,15 +92,7 @@ def hsic_gp_exact(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample) -> f
     L = gram(kernel_y, sample.Y, sample.Y)
     H = _centerer(n)
     Lc = H @ L @ H
-    value = float((Lc * K).sum()) / (n * n)
-    if value < 0.0:
-        if value < -1e-12:
-            raise NumericalError(
-                f"dependence statistic evaluated to {value:.3e}; the Gram "
-                "matrices are not positive semidefinite"
-            )
-        value = 0.0
-    return value
+    return _clamp_roundoff(float((Lc * K).sum()) / (n * n))
 
 
 def hsic_gp_monte_carlo(

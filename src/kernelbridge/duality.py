@@ -73,9 +73,6 @@ class IdentityReport:
     rhs: float
     gap: float
 
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "gap": self.gap}
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -84,9 +81,6 @@ class BoundReport:
     lhs: float
     rhs: float
     holds: bool
-
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -97,14 +91,6 @@ class ObjectiveReport:
     gradient_norm: float
     perturbations: int
     is_minimal: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "gradient_norm": self.gradient_norm,
-            "perturbations": self.perturbations,
-            "is_minimal": self.is_minimal,
-        }
 
 
 def optimal_weights(kernel: Kernel, X, x, noise_variance: float = 0.0) -> WeightVector:

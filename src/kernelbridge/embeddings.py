@@ -144,15 +144,6 @@ class AverageCaseReport:
     mc_estimate: float
     mc_se: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mmd_squared": self.mmd_squared,
-            "gp_variance": self.gp_variance,
-            "gap": self.gap,
-            "mc_estimate": self.mc_estimate,
-            "mc_se": self.mc_se,
-        }
-
 
 def verify_average_case(
     kernel: Kernel,

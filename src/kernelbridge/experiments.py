@@ -80,14 +80,6 @@ class RateExperimentResult:
     fitted_slope: float
     theoretical_slope: float
 
-    def as_dict(self) -> dict:
-        return {
-            "sample_sizes": list(self.sample_sizes),
-            "errors": list(self.errors),
-            "fitted_slope": self.fitted_slope,
-            "theoretical_slope": self.theoretical_slope,
-        }
-
 
 def rate_experiment(
     target_id: str,

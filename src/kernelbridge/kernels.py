@@ -50,7 +50,9 @@ alone:
 
 Kernel tails then run in place on that one array, with the operations of
 the closed forms above in the same order, so every Gram entry is the value
-the plain expression gives.
+the plain expression gives. The one exception: Matern 3/2 and 5/2 cap
+``t`` at a value past which ``exp(-t)`` is already 0, so an overflowing
+distance gives 0 where the plain expression gives ``inf * 0 = nan``.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ __all__ = [
 ]
 
 _MATERN_ORDERS = (0.5, 1.5, 2.5)
+# exp(-t) rounds to 0 for t above about 745.13, so capping the scaled
+# distance here changes no finite Gram value; it keeps the 3/2 and 5/2
+# tails from forming inf * 0 = nan once t (or t^2) overflows.
+_MATERN_T_CAP = 750.0
 
 
 def as_point(x) -> np.ndarray:
@@ -222,6 +228,7 @@ class Matern(Kernel):
             t /= self.h
             return np.exp(t, out=t)
         t *= math.sqrt(3.0 if self.alpha == 1.5 else 5.0) / self.h
+        np.minimum(t, _MATERN_T_CAP, out=t)
         e = np.negative(t)
         np.exp(e, out=e)
         if self.alpha == 1.5:

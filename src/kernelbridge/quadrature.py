@@ -190,15 +190,6 @@ class ContractionReport:
     slope: float
     theoretical_exponent: float
 
-    def as_dict(self) -> dict:
-        return {
-            "grid_sizes": list(self.grid_sizes),
-            "fill_distances": list(self.fill_distances),
-            "variances": list(self.variances),
-            "slope": self.slope,
-            "theoretical_exponent": self.theoretical_exponent,
-        }
-
 
 def variance_contraction_experiment(
     kernel: Kernel,

@@ -3,9 +3,11 @@
 Reports are plain dictionaries rendered to JSON by a small writer that
 formats every float with 17 significant digits. Rendering the same
 payload therefore produces byte-identical text on every run and platform,
-which is what the regression-style CLI checks diff against. The
-``wall_time`` entry is the only nondeterministic field a report carries;
-it is emitted on its own line so it can be stripped textually.
+which is what the regression-style CLI checks diff against. Every CLI
+report opens with ``schema`` and ends with ``wall_time``; the CLI's
+``main`` adds both around each command's own keys. ``wall_time`` is the
+only nondeterministic field a report carries, and it is emitted on its
+own line so :func:`strip_wall_time` can drop it textually.
 
 Input digests are short SHA-256 prefixes over a canonical byte encoding
 of nested values, with arrays hashed by shape and little-endian float64
@@ -27,7 +29,6 @@ __all__ = [
     "format_float",
     "stable_digest",
     "json_text",
-    "report_dict",
     "strip_wall_time",
 ]
 
@@ -113,22 +114,6 @@ def _render(value, indent: int) -> str:
 def json_text(payload) -> str:
     """Render a payload as pretty JSON with deterministic float text."""
     return _render(payload, 0) + "\n"
-
-
-def report_dict(suite: str, cases, seed: int, wall_time: float) -> dict:
-    """Assemble a verification report.
-
-    Cases are sorted by id so assembly order never changes the output;
-    ``wall_time`` goes last so a line filter can drop it.
-    """
-    rows = sorted(cases, key=lambda case: case.case_id)
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": suite,
-        "seed": int(seed),
-        "cases": [case.as_dict() for case in rows],
-        "wall_time": float(wall_time),
-    }
 
 
 def strip_wall_time(text: str) -> str:

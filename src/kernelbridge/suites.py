@@ -67,17 +67,6 @@ class Case:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "inputs_digest": self.inputs_digest,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def _case(case_id: str, payload, lhs: float, rhs: float, tolerance: float) -> Case:
     gap = abs(lhs - rhs)

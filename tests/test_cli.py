@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON payloads, CSV handling."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 
 import kernelbridge
 from kernelbridge import cli
-from kernelbridge.reporting import strip_wall_time
-from kernelbridge.suites import Case
+from kernelbridge.reporting import SCHEMA_VERSION, strip_wall_time
+from kernelbridge.suites import Case, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,75 @@ def test_verification_failures_exit_with_one(capsys, monkeypatch):
     assert code == 1
     payload = json.loads(out)
     assert payload["cases"][0]["passed"] is False
+
+
+# ----------------------------------------------------------------------
+# the report envelope
+# ----------------------------------------------------------------------
+
+
+def _envelope_argv(command, tmp_path):
+    if command == "verify":
+        return ["--suite", "all", "--trials", "2", "--seed", "3"]
+    if command == "regress":
+        rows = [(0.0, 0.1), (0.5, 1.0), (1.0, 0.2)]
+        data = write_csv(tmp_path / "d.csv", "x1,y", rows)
+        return ["--data", data, "--kernel", "se", "--lambda", "0.1"]
+    if command == "rates":
+        return ["--sizes", "16,32,64", "--replications", "1"]
+    if command == "sample":
+        points = write_csv(tmp_path / "p.csv", "x1", [(0.0,), (1.0,)])
+        return ["--kernel", "se", "--points", points]
+    if command == "mmd":
+        p = write_csv(tmp_path / "p.csv", "x1,w", [(0.0, 0.5), (1.0, 0.5)])
+        q = write_csv(tmp_path / "q.csv", "x1,w", [(0.5, 1.0)])
+        return ["--kernel", "se", "--p", p, "--q", q]
+    if command == "hsic":
+        x = write_csv(tmp_path / "x.csv", "x1", [(0.1,), (0.7,), (0.3,)])
+        y = write_csv(tmp_path / "y.csv", "x1", [(0.2,), (0.9,), (0.5,)])
+        return ["--x", x, "--y", y, "--draws", "20"]
+    nodes = write_csv(tmp_path / "nodes.csv", "x1", [(0.0,), (0.5,), (1.0,)])
+    target = write_csv(tmp_path / "target.csv", "x1,w", [(0.25, 0.5), (0.75, 0.5)])
+    return ["--kernel", "se", "--nodes", nodes, "--target", target]
+
+
+@pytest.mark.parametrize(
+    "command", ["verify", "regress", "rates", "sample", "mmd", "hsic", "quadrature"]
+)
+def test_every_report_opens_with_the_schema_and_ends_with_the_wall_time(
+    capsys, tmp_path, command
+):
+    code, out, _ = run_cli(capsys, command, *_envelope_argv(command, tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    keys = list(payload)
+    assert keys[0] == "schema" and payload["schema"] == SCHEMA_VERSION
+    assert keys[-1] == "wall_time" and keys.count("wall_time") == 1
+    assert isinstance(payload["wall_time"], float) and payload["wall_time"] >= 0.0
+    lines = out.splitlines()
+    assert lines[-2].startswith('  "wall_time": ')
+    assert strip_wall_time(out).splitlines() == lines[:-2] + lines[-1:]
+    if command == "verify":
+        assert payload["suite"] == "all" and payload["seed"] == 3
+        ids = [case.case_id for case in run_suite("all", 3, 2)]
+        assert ids != sorted(ids)
+        assert [case["case_id"] for case in payload["cases"]] == sorted(ids)
+
+
+def test_only_main_times_and_emits_reports():
+    handlers = [
+        inspect.getsource(value)
+        for name, value in vars(cli).items()
+        if name.startswith("_cmd_")
+    ]
+    assert len(handlers) == 7
+    assert not [src for src in handlers if "perf_counter" in src or "_emit(" in src]
+    timed = inspect.getsource(cli.main).count("perf_counter")
+    assert timed > 0 and inspect.getsource(cli).count("perf_counter") == timed
+    # Result records serialize through dataclasses.asdict.
+    package = Path(kernelbridge.__file__).parent
+    restated = [p.name for p in package.glob("*.py") if "def as_dict" in p.read_text()]
+    assert restated == []
 
 
 # ----------------------------------------------------------------------

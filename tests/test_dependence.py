@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
+from kernelbridge import dependence
 from kernelbridge.dependence import (
     PairedSample,
     brownian_dcov,
@@ -11,7 +12,7 @@ from kernelbridge.dependence import (
     hsic_gp_exact,
     hsic_gp_monte_carlo,
 )
-from kernelbridge.errors import InputError
+from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.kernels import (
     BrownianDistance,
     KroneckerDelta,
@@ -116,6 +117,19 @@ def test_scaling_one_kernel_scales_the_statistic_bitwise():
     base = hsic_empirical(kx, ky, sample)
     doubled = hsic_empirical(Scaled(kx, 2.0), ky, sample)
     assert doubled == 2.0 * base
+
+
+@pytest.mark.parametrize("statistic", [hsic_empirical, hsic_gp_exact])
+def test_negative_statistics_raise_unless_they_are_roundoff(monkeypatch, statistic):
+    kx, ky = SquaredExponential(), Matern()
+    sample = random_sample(0, 4)
+    # With K = scale * I and L = I the statistic is scale * (n - 1) / n^2.
+    grams = {kx: -1.0 * np.eye(4), ky: np.eye(4)}
+    monkeypatch.setattr(dependence, "gram", lambda kernel, A, B: grams[kernel])
+    with pytest.raises(NumericalError, match="evaluated to -1.875e-01; the Gram"):
+        statistic(kx, ky, sample)
+    grams[kx] = -1e-14 * np.eye(4)
+    assert statistic(kx, ky, sample) == 0.0
 
 
 def test_paired_samples_validate_their_shapes():

@@ -1,6 +1,7 @@
 """Discrete measures, kernel mean embeddings, MMD, shrinkage estimation."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_average_case_check_is_deterministic_in_the_seed():
     Q = random_measure(12, 4)
     a = verify_average_case(kernel, P, Q, draws=500, seed=7)
     b = verify_average_case(kernel, P, Q, draws=500, seed=7)
-    assert a.as_dict() == b.as_dict()
+    assert asdict(a) == asdict(b)
     c = verify_average_case(kernel, P, Q, draws=500, seed=8)
     assert c.mc_estimate != a.mc_estimate
 

@@ -1,5 +1,7 @@
 """Convergence-rate experiment wiring and its target registry."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_small_experiment_produces_a_coherent_report():
     assert all(e > 0 for e in result.errors)
     assert result.theoretical_slope == pytest.approx(-0.75, rel=1e-12)
     assert np.isfinite(result.fitted_slope)
-    payload = result.as_dict()
+    payload = asdict(result)
     assert payload["fitted_slope"] == result.fitted_slope
 
 

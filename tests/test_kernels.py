@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from kernelbridge.errors import InputError, UnsupportedOperationError
@@ -260,6 +262,43 @@ def test_gram_is_bitwise_the_difference_tensor_formula(kernel, d, n, m):
     np.testing.assert_array_equal(A, A_before)
     np.testing.assert_array_equal(B, B_before)
     assert not np.shares_memory(K, A) and not np.shares_memory(K, B)
+
+
+def test_matern_tails_vanish_where_the_scaled_distance_overflows():
+    # sqrt(3) r / h (and its square for 5/2) overflows; the exact value is 0.
+    with np.errstate(over="ignore"):
+        K32 = gram(Matern(alpha=1.5, h=1.0), [[0.0, 0.0]], [[1e160, 0.0]])
+        K52 = gram(Matern(alpha=2.5, h=1.0), [0.0], [1e308])
+    np.testing.assert_array_equal(K32, [[0.0]], strict=True)
+    np.testing.assert_array_equal(K52, [[0.0]], strict=True)
+
+
+# Coordinates of either sign with magnitudes log-uniform in 1e-300..1e300.
+_WIDE_COORDINATE = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(-300.0, 300.0),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    alpha=st.sampled_from((0.5, 1.5, 2.5)),
+    d=st.sampled_from((1, 2, 3)),
+    data=st.data(),
+)
+def test_matern_grams_stay_finite_and_bounded_across_the_float_range(alpha, d, data):
+    points = st.lists(
+        st.lists(_WIDE_COORDINATE, min_size=d, max_size=d), min_size=1, max_size=4
+    )
+    A = data.draw(points)
+    B = data.draw(points)
+    with np.errstate(over="ignore"):
+        K = gram(Matern(alpha=alpha, h=1.0), A, B)
+    assert np.all(np.isfinite(K))
+    # The 5/2 closed form rounds to one ulp above 1 for t near 2e-8, so the
+    # upper end allows that one rounding.
+    assert np.all((K >= 0.0) & (K <= np.nextafter(1.0, 2.0)))
 
 
 def test_gram_rejects_mismatched_dimensions():

@@ -2,7 +2,7 @@
 fill distances, variance contraction."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -340,7 +340,7 @@ def test_contraction_report_round_trips_to_a_dict():
     report = variance_contraction_experiment(
         Matern(alpha=0.5, h=0.5), 0.0, 1.0, 0.5, (4, 8, 16)
     )
-    payload = report.as_dict()
+    payload = asdict(report)
     assert list(payload["grid_sizes"]) == [4, 8, 16]
     assert payload["slope"] == report.slope
     assert payload["theoretical_exponent"] == 1.0

@@ -1,4 +1,4 @@
-"""Stable serialization: float text, digests, JSON rendering, reports."""
+"""Stable serialization: float text, digests, JSON rendering."""
 
 import json
 
@@ -7,10 +7,8 @@ import pytest
 
 from kernelbridge.errors import InputError
 from kernelbridge.reporting import (
-    SCHEMA_VERSION,
     format_float,
     json_text,
-    report_dict,
     stable_digest,
     strip_wall_time,
 )
@@ -84,25 +82,3 @@ def test_wall_time_lines_can_be_stripped_for_comparisons():
     assert "wall_time" not in stripped
     assert "cases" in stripped
     assert strip_wall_time(stripped) == stripped
-
-
-def test_report_dict_sorts_cases_and_carries_the_schema():
-    from kernelbridge.suites import Case
-
-    def case(case_id):
-        return Case(
-            case_id=case_id,
-            inputs_digest="0" * 16,
-            lhs=1.0,
-            rhs=1.0,
-            gap=0.0,
-            tolerance=1e-8,
-            passed=True,
-        )
-
-    payload = report_dict("demo", [case("b"), case("a")], seed=3, wall_time=0.25)
-    assert payload["schema"] == SCHEMA_VERSION
-    assert payload["suite"] == "demo"
-    assert payload["seed"] == 3
-    assert [c["case_id"] for c in payload["cases"]] == ["a", "b"]
-    assert list(payload.keys())[-1] == "wall_time"

@@ -1,5 +1,7 @@
 """Randomized verification suites: coverage, determinism, case structure."""
 
+from dataclasses import asdict
+
 import pytest
 
 from kernelbridge.errors import InputError
@@ -20,7 +22,7 @@ def test_every_suite_passes_its_own_cases(name):
     cases = run_suite(name, seed=0, trials=5)
     assert len(cases) == 5 * CASES_PER_TRIAL[name]
     for case in cases:
-        assert case.passed, case.as_dict()
+        assert case.passed, asdict(case)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -31,17 +33,17 @@ def test_case_records_are_internally_consistent(name):
         assert case.passed == (case.gap <= case.tolerance)
         assert len(case.inputs_digest) == 16
         assert all(ch in "0123456789abcdef" for ch in case.inputs_digest)
-        payload = case.as_dict()
+        payload = asdict(case)
         assert payload["case_id"] == case.case_id
         assert payload["passed"] is case.passed
 
 
 def test_suites_are_bitwise_deterministic_in_the_seed():
     for name in SUITE_NAMES:
-        first = [case.as_dict() for case in run_suite(name, seed=4, trials=3)]
-        second = [case.as_dict() for case in run_suite(name, seed=4, trials=3)]
+        first = [asdict(case) for case in run_suite(name, seed=4, trials=3)]
+        second = [asdict(case) for case in run_suite(name, seed=4, trials=3)]
         assert first == second
-        shifted = [case.as_dict() for case in run_suite(name, seed=5, trials=3)]
+        shifted = [asdict(case) for case in run_suite(name, seed=5, trials=3)]
         assert first != shifted
 
 
