@@ -309,7 +309,7 @@ def _cmd_quadrature(args):
     nodes = _load_points(args.nodes)
     target = _load_measure(args.target)
     rule = quadrature.kq_weights(kernel, nodes, target, args.lam)
-    _, variance = quadrature.bq_posterior(rule, np.zeros(rule.n), args.lam)
+    _, variance = quadrature.bq_posterior(rule, np.zeros(rule.n))
     body = {
         "command": "quadrature",
         "kernel": format_kernel(kernel),
@@ -320,7 +320,7 @@ def _cmd_quadrature(args):
     }
     if args.f_values:
         f = _load_column(args.f_values, "f")
-        mean, _ = quadrature.bq_posterior(rule, f, args.lam)
+        mean, _ = quadrature.bq_posterior(rule, f)
         body["mean"] = mean
     return body, 0
 

@@ -40,7 +40,7 @@ from .kernels import (
     as_points,
     gram,
 )
-from .linalg import cholesky_with_jitter, factor_system, nonnegative, shift_diagonal
+from .linalg import factor_system, nonnegative, shift_diagonal
 
 __all__ = [
     "WeightVector",
@@ -231,16 +231,14 @@ def verify_weight_objective(
     K = gram(kernel, nodes, nodes)
     k_x = gram(kernel, nodes, xv[None, :])[:, 0]
     k_xx = float(gram(kernel, xv[None, :], xv[None, :])[0, 0])
-    system = shift_diagonal(K, noise_variance)
-    # Factored directly: the gradient below needs the assembled system.
-    w_star = cholesky_with_jitter(system, name="K_XX + noise").solve(k_x)
+    w_star = factor_system(K, noise_variance, name="K_XX").solve(k_x)
 
     def objective(w: np.ndarray) -> float:
         wce_sq = k_xx - 2.0 * float(w @ k_x) + float(w @ K @ w)
         return wce_sq + noise_variance * float(w @ w)
 
     base = objective(w_star)
-    gradient = 2.0 * (system @ w_star) - 2.0 * k_x
+    gradient = 2.0 * (shift_diagonal(K, noise_variance) @ w_star) - 2.0 * k_x
     gradient_norm = float(np.linalg.norm(gradient))
     rng = np.random.default_rng(seed)
     minimal = True

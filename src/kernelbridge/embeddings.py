@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import Kernel, as_point, as_points, gram
+from .kernels import Kernel, RepresenterFunction, as_point, as_points, gram
 from .linalg import factor_system, nonnegative, sample_gaussian
 
 __all__ = [
     "DiscreteMeasure",
-    "KernelMean",
     "mean_embed",
     "mmd",
     "AverageCaseReport",
@@ -73,26 +72,9 @@ class DiscreteMeasure:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMean:
-    """The embedding of a discrete measure: ``mu(x) = sum_i w_i k(x, a_i)``."""
-
-    kernel: Kernel
-    measure: DiscreteMeasure
-
-    def __call__(self, x) -> float:
-        xv = as_point(x)
-        row = gram(self.kernel, xv[None, :], self.measure.atoms)[0]
-        return float(row @ self.measure.weights)
-
-    def at(self, points) -> np.ndarray:
-        P = as_points(points)
-        return gram(self.kernel, P, self.measure.atoms) @ self.measure.weights
-
-
-def mean_embed(kernel: Kernel, measure: DiscreteMeasure) -> KernelMean:
-    """Embed a discrete measure into the RKHS of the kernel."""
-    return KernelMean(kernel=kernel, measure=measure)
+def mean_embed(kernel: Kernel, measure: DiscreteMeasure) -> RepresenterFunction:
+    """Embed a discrete measure: ``mu(x) = sum_i w_i k(x, a_i)``."""
+    return RepresenterFunction(kernel, measure.atoms, measure.weights)
 
 
 def _signed_union(P: DiscreteMeasure, Q: DiscreteMeasure):
@@ -194,7 +176,7 @@ def verify_average_case(
     )
 
 
-def skme(kernel: Kernel, sample, lam: float) -> KernelMean:
+def skme(kernel: Kernel, sample, lam: float) -> RepresenterFunction:
     """Shrinkage estimator of the kernel mean from a sample.
 
     The empirical embedding has uniform weights ``1/n``; this estimator
@@ -211,7 +193,7 @@ def skme(kernel: Kernel, sample, lam: float) -> KernelMean:
     K = gram(kernel, X, X)
     mu_x = K @ np.full(n, 1.0 / n)
     w = factor_system(K, n * lam, name="K_XX").solve(mu_x)
-    return KernelMean(kernel=kernel, measure=DiscreteMeasure(X, w))
+    return RepresenterFunction(kernel, X, w)
 
 
 def bayes_kmean_posterior(

@@ -92,12 +92,11 @@ def kq_weights(
     )
 
 
-def bq_posterior(rule: QuadratureRule, f_values, lam: float = 0.0):
+def bq_posterior(rule: QuadratureRule, f_values):
     """Posterior mean and variance of the integral given function values.
 
-    ``lam`` must match the regularization the rule was built with; the
-    noise variance of the Bayesian model is ``n * lam``. Returns
-    ``(mean, variance)``.
+    The noise variance of the Bayesian model is ``n * lam``, with ``lam``
+    the regularization the rule was built with. Returns ``(mean, variance)``.
 
     The system is factored without the invertibility gate: ``kq_weights``
     already gated this Gram matrix when it built the rule.
@@ -109,11 +108,6 @@ def bq_posterior(rule: QuadratureRule, f_values, lam: float = 0.0):
         )
     if not np.all(np.isfinite(f)):
         raise InputError("function values must be finite")
-    if float(lam) != rule.regularization:
-        raise InputError(
-            f"rule was built with lambda={rule.regularization!r}, got "
-            f"lambda={float(lam)!r}"
-        )
     K = gram(rule.kernel, rule.nodes, rule.nodes)
     noise = rule.n * rule.regularization
     system = shift_diagonal(K, noise) if noise > 0 else K
@@ -133,7 +127,7 @@ def verify_bq_kq_identity(rule: QuadratureRule) -> IdentityReport:
     """
     if rule.regularization != 0.0:
         raise InputError("the variance identity holds for lambda = 0 rules")
-    _, variance = bq_posterior(rule, np.zeros(rule.n), 0.0)
+    _, variance = bq_posterior(rule, np.zeros(rule.n))
     node_measure = DiscreteMeasure(rule.nodes, rule.weights)
     discrepancy = mmd(rule.kernel, node_measure, rule.target)
     rhs = discrepancy * discrepancy

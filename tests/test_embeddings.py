@@ -254,7 +254,7 @@ def test_shrinkage_weights_minimize_the_penalized_distance():
     X = rng.uniform(-1.0, 1.0, (6, 1))
     lam = 0.05
     estimator = skme(kernel, X, lam)
-    w_star = estimator.measure.weights
+    w_star = estimator.coefficients
     base = oracles.skme_objective(kernel, X, lam, w_star)
     for _ in range(50):
         direction = rng.normal(size=6)

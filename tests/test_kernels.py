@@ -273,6 +273,12 @@ def test_matern_tails_vanish_where_the_scaled_distance_overflows():
     np.testing.assert_array_equal(K52, [[0.0]], strict=True)
 
 
+def test_matern_five_halves_never_exceeds_its_diagonal():
+    # At t = sqrt(5) r / h = 2e-8 the plain closed form rounds to 1 + 2^-52.
+    K = gram(Matern(alpha=2.5, h=1.0), [0.0], [2e-8 / math.sqrt(5)])
+    assert K[0, 0] == 1.0
+
+
 # Coordinates of either sign with magnitudes log-uniform in 1e-300..1e300.
 _WIDE_COORDINATE = st.builds(
     lambda sign, exponent: sign * 10.0**exponent,
@@ -296,9 +302,7 @@ def test_matern_grams_stay_finite_and_bounded_across_the_float_range(alpha, d, d
     with np.errstate(over="ignore"):
         K = gram(Matern(alpha=alpha, h=1.0), A, B)
     assert np.all(np.isfinite(K))
-    # The 5/2 closed form rounds to one ulp above 1 for t near 2e-8, so the
-    # upper end allows that one rounding.
-    assert np.all((K >= 0.0) & (K <= np.nextafter(1.0, 2.0)))
+    assert np.all((K >= 0.0) & (K <= 1.0))
 
 
 def test_gram_rejects_mismatched_dimensions():

@@ -1,11 +1,18 @@
 """Randomized verification suites: coverage, determinism, case structure."""
 
+import hashlib
 from dataclasses import asdict
 
 import pytest
 
 from kernelbridge.errors import InputError
 from kernelbridge.suites import SUITE_NAMES, run_suite
+
+# sha256 of the "case_id inputs_digest" lines of run_suite("all", 0, 5):
+# every suite must keep drawing exactly these instances, in this order.
+INSTANCE_STREAM_SHA256 = (
+    "b63a93b49498e61bb0b43edae5f539aad4557882e47067dfca32c3a99b13b5bf"
+)
 
 CASES_PER_TRIAL = {
     "gp-krr": 1,
@@ -45,6 +52,14 @@ def test_suites_are_bitwise_deterministic_in_the_seed():
         assert first == second
         shifted = [asdict(case) for case in run_suite(name, seed=5, trials=3)]
         assert first != shifted
+
+
+def test_the_instance_stream_is_pinned():
+    lines = "".join(
+        f"{case.case_id} {case.inputs_digest}\n"
+        for case in run_suite("all", seed=0, trials=5)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == INSTANCE_STREAM_SHA256
 
 
 def test_the_combined_run_concatenates_in_declaration_order():
