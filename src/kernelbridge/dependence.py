@@ -53,8 +53,14 @@ class PairedSample:
         return self.X.shape[0]
 
 
-def _centerer(n: int) -> np.ndarray:
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def _grams(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample):
+    """Check ``n >= 2``; return ``n``, ``K``, ``L`` and the centering matrix ``H``."""
+    n = sample.n
+    if n < 2:
+        raise InputError("the dependence statistic needs at least two pairs")
+    K = gram(kernel_x, sample.X, sample.X)
+    L = gram(kernel_y, sample.Y, sample.Y)
+    return n, K, L, np.eye(n) - np.full((n, n), 1.0 / n)
 
 
 def _clamp_roundoff(value: float) -> float:
@@ -69,12 +75,7 @@ def _clamp_roundoff(value: float) -> float:
 
 def hsic_empirical(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample) -> float:
     """V-statistic dependence measure ``(1/n^2) trace(K H L H)``."""
-    n = sample.n
-    if n < 2:
-        raise InputError("the dependence statistic needs at least two pairs")
-    K = gram(kernel_x, sample.X, sample.X)
-    L = gram(kernel_y, sample.Y, sample.Y)
-    H = _centerer(n)
+    n, K, L, H = _grams(kernel_x, kernel_y, sample)
     Kc = H @ K @ H
     return _clamp_roundoff(float((Kc * L).sum()) / (n * n))
 
@@ -85,12 +86,7 @@ def hsic_gp_exact(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample) -> f
     Centers the second Gram matrix instead of the first, so the arithmetic
     path differs from :func:`hsic_empirical` while the value agrees.
     """
-    n = sample.n
-    if n < 2:
-        raise InputError("the dependence statistic needs at least two pairs")
-    K = gram(kernel_x, sample.X, sample.X)
-    L = gram(kernel_y, sample.Y, sample.Y)
-    H = _centerer(n)
+    n, K, L, H = _grams(kernel_x, kernel_y, sample)
     Lc = H @ L @ H
     return _clamp_roundoff(float((Lc * K).sum()) / (n * n))
 
@@ -110,14 +106,9 @@ def hsic_gp_monte_carlo(
     carry exactly zero, so a constant sample yields an estimate of
     exactly ``0.0``. Returns ``(estimate, standard_error)``.
     """
-    n = sample.n
-    if n < 2:
-        raise InputError("the dependence statistic needs at least two pairs")
+    n, K, L, H = _grams(kernel_x, kernel_y, sample)
     if draws < 2:
         raise InputError("at least two draws are needed for a standard error")
-    K = gram(kernel_x, sample.X, sample.X)
-    L = gram(kernel_y, sample.Y, sample.Y)
-    H = _centerer(n)
     rng = np.random.default_rng(seed)
     fc = sample_gaussian(rng, H @ K @ H, draws, 1e-12 * np.trace(K) / n)
     gc = sample_gaussian(rng, H @ L @ H, draws, 1e-12 * np.trace(L) / n)

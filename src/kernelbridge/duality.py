@@ -38,12 +38,13 @@ from .kernels import (
     Sum,
     as_point,
     as_points,
+    as_values,
     gram,
 )
+from .kernels import eval as kernel_value
 from .linalg import factor_system, nonnegative, shift_diagonal
 
 __all__ = [
-    "WeightVector",
     "optimal_weights",
     "worst_case_error",
     "IdentityReport",
@@ -54,16 +55,6 @@ __all__ = [
     "verify_error_bound",
     "verify_weight_objective",
 ]
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Weights ``(K_XX + noise I)^{-1} k_Xx`` for one query point."""
-
-    X: np.ndarray
-    query: np.ndarray
-    weights: np.ndarray
-    noise_variance: float
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -93,17 +84,14 @@ class ObjectiveReport:
     is_minimal: bool
 
 
-def optimal_weights(kernel: Kernel, X, x, noise_variance: float = 0.0) -> WeightVector:
+def optimal_weights(kernel: Kernel, X, x, noise_variance: float = 0.0) -> np.ndarray:
     """Solve ``(K_XX + noise I) w = k_Xx`` for one query point."""
     nodes = as_points(X)
     xv = as_point(x)
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
     chol = factor_system(gram(kernel, nodes, nodes), noise_variance, name="K_XX")
-    w = chol.solve(gram(kernel, nodes, xv[None, :])[:, 0])
-    return WeightVector(
-        X=nodes, query=xv, weights=w, noise_variance=float(noise_variance)
-    )
+    return chol.solve(gram(kernel, nodes, xv[None, :])[:, 0])
 
 
 def worst_case_error(kernel: Kernel, X, weights, x) -> float:
@@ -115,12 +103,8 @@ def worst_case_error(kernel: Kernel, X, weights, x) -> float:
     """
     nodes = as_points(X)
     xv = as_point(x)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != nodes.shape[0]:
-        raise InputError(f"{w.shape[0]} weights for {nodes.shape[0]} nodes")
-    if not np.all(np.isfinite(w)):
-        raise InputError("weights must be finite")
-    k_xx = float(gram(kernel, xv[None, :], xv[None, :])[0, 0])
+    w = as_values(weights, nodes.shape[0], "weights", "nodes")
+    k_xx = kernel_value(kernel, xv, xv)
     if nodes.shape[0] == 0:
         squared = k_xx
     else:
@@ -152,8 +136,8 @@ def verify_noise_free_identity(kernel: Kernel, data: Dataset, x) -> IdentityRepo
     xv = as_point(x)
     post = _conditioned(kernel, data, 0.0)
     lhs = math.sqrt(gp.posterior_cov(post, xv, xv))
-    wv = optimal_weights(kernel, data.X, xv, 0.0)
-    rhs = worst_case_error(kernel, data.X, wv.weights, xv)
+    w = optimal_weights(kernel, data.X, xv, 0.0)
+    rhs = worst_case_error(kernel, data.X, w, xv)
     return IdentityReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
@@ -187,8 +171,8 @@ def verify_noisy_identity(
     post = _conditioned(kernel, data, noise_variance)
     lhs = math.sqrt(gp.posterior_cov(post, xv, xv) + noise_variance)
     augmented = Sum(kernel, KroneckerDelta(noise_variance))
-    wv = optimal_weights(kernel, data.X, xv, noise_variance)
-    rhs = worst_case_error(augmented, data.X, wv.weights, xv)
+    w = optimal_weights(kernel, data.X, xv, noise_variance)
+    rhs = worst_case_error(augmented, data.X, w, xv)
     return IdentityReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
@@ -230,7 +214,7 @@ def verify_weight_objective(
     n = nodes.shape[0]
     K = gram(kernel, nodes, nodes)
     k_x = gram(kernel, nodes, xv[None, :])[:, 0]
-    k_xx = float(gram(kernel, xv[None, :], xv[None, :])[0, 0])
+    k_xx = kernel_value(kernel, xv, xv)
     w_star = factor_system(K, noise_variance, name="K_XX").solve(k_x)
 
     def objective(w: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import Kernel, RepresenterFunction, as_point, as_points, gram
+from .kernels import Kernel, RepresenterFunction, as_point, as_points, as_values, gram
 from .linalg import factor_system, nonnegative, sample_gaussian
 
 __all__ = [
@@ -42,11 +42,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         A = as_points(self.atoms)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != A.shape[0]:
-            raise InputError(f"{w.shape[0]} weights for {A.shape[0]} atoms")
-        if not np.all(np.isfinite(w)):
-            raise InputError("weights must be finite")
+        w = as_values(self.weights, A.shape[0], "weights", "atoms")
         object.__setattr__(self, "atoms", A)
         object.__setattr__(self, "weights", w)
 

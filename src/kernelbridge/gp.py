@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .kernels import Dataset, Kernel, as_point, as_points, gram
+from .kernels import Dataset, Kernel, as_count, as_point, as_points, gram
+from .kernels import eval as kernel_value
 from .linalg import Cholesky, _solve_lower, cholesky_with_jitter, factor_system
 
 __all__ = [
@@ -83,15 +84,12 @@ def sample_prior(prior: GPPrior, X, count: int, seed: int) -> np.ndarray:
     Deterministic for a fixed seed.
     """
     P = as_points(X)
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise InputError("sample count must be an integer")
-    if count < 0:
-        raise InputError("sample count must be nonnegative")
+    count = as_count(count)
     K = gram(prior.kernel, P, P)
     # Ungated: prior draws on duplicated inputs are legal, and only L is used.
     L = cholesky_with_jitter(K, name="K_XX").factor
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((int(count), P.shape[0]))
+    u = rng.standard_normal((count, P.shape[0]))
     return prior.mean_at(P)[None, :] + u @ L.T
 
 
@@ -158,7 +156,7 @@ def posterior_cov_raw(post: GPPosterior, x, y) -> float:
     """
     xv = as_point(x)
     yv = as_point(y)
-    k_xy = float(gram(post.prior.kernel, xv[None, :], yv[None, :])[0, 0])
+    k_xy = kernel_value(post.prior.kernel, xv, yv)
     if post.X.shape[0] == 0:
         return k_xy
     a = _solve_lower(post.cholesky.factor, _cross(post, xv[None, :]).T)[:, 0]
@@ -182,9 +180,7 @@ def posterior_variance_at(post: GPPosterior, points, clamp: bool = True) -> np.n
     Clamps small negative roundoff at zero unless ``clamp`` is False.
     """
     P = as_points(points)
-    prior_diag = np.array(
-        [float(gram(post.prior.kernel, row[None, :], row[None, :])[0, 0]) for row in P]
-    )
+    prior_diag = np.array([kernel_value(post.prior.kernel, row, row) for row in P])
     if post.X.shape[0] == 0:
         out = prior_diag
     else:

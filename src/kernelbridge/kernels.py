@@ -51,7 +51,7 @@ alone:
 Kernel tails then run in place on that array (Matern 3/2 and 5/2 add one
 more, for ``exp(-t)``, and leave the result in it), with the operations of
 the closed forms above in the same order, so every Gram entry is the value
-the plain expression gives. There are two exceptions:
+the plain expression gives. There are three exceptions:
 
 - Matern 3/2 and 5/2 cap ``t`` at a value past which ``exp(-t)`` is
   already 0, so an overflowing distance gives 0 where the plain expression
@@ -59,6 +59,9 @@ the plain expression gives. There are two exceptions:
 - Matern 5/2 caps its result at 1. For ``t`` near ``2e-8`` the roundings
   of ``1 + t + t^2/3`` and ``exp(-t)`` can land the product one ulp above
   ``k(x, x) = 1``; every value at or below 1 keeps its bits.
+- BrownianDistance in ``d >= 2`` scales the coordinates, and then the
+  result, by a power of two where the squares would overflow or underflow.
+  Rows below about ``1e-154`` times the largest coordinate still underflow.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ __all__ = [
     "format_kernel",
     "as_point",
     "as_points",
+    "as_values",
+    "as_count",
 ]
 
 _MATERN_ORDERS = (0.5, 1.5, 2.5)
@@ -96,6 +101,9 @@ _MATERN_ORDERS = (0.5, 1.5, 2.5)
 # distance here changes no finite Gram value; it keeps the 3/2 and 5/2
 # tails from forming inf * 0 = nan once t (or t^2) overflows.
 _MATERN_T_CAP = 750.0
+# While the binary exponent of the largest coordinate is at most this in size,
+# Brownian squares in d >= 2 neither overflow nor leave the normal range.
+_BROWNIAN_SAFE_EXPONENT = 500
 
 
 def as_point(x) -> np.ndarray:
@@ -127,6 +135,29 @@ def as_points(A) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError("point coordinates must be finite")
     return arr
+
+
+def as_values(values, count: int, what: str, per: str) -> np.ndarray:
+    """Coerce an array-like to a finite float vector of ``count`` values.
+
+    ``what`` names the values and ``per`` the points they belong to, as in
+    ``"3 weights for 4 atoms"``.
+    """
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.shape[0] != count:
+        raise InputError(f"{arr.shape[0]} {what} for {count} {per}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite")
+    return arr
+
+
+def as_count(count) -> int:
+    """Check a sample count: an integer (not a bool), at least 0."""
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+        raise InputError("sample count must be an integer")
+    if count < 0:
+        raise InputError("sample count must be nonnegative")
+    return int(count)
 
 
 def _pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -315,12 +346,21 @@ class BrownianDistance(Kernel):
         # On the line the norms are |a|, exact like the distances |a - b|:
         # a squared norm could underflow where the distance does not, and
         # the matrix would lose positive semi-definiteness.
+        e = 0
         if A.shape[1] == 1:
             na, nb = np.abs(A[:, 0]), np.abs(B[:, 0])
         else:
+            # Where the squares would leave the normal range, scale by 2^-e
+            # and back by 2^e: exact, as the kernel is homogeneous of degree 1.
+            largest = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
+            exponent = int(np.frexp(largest)[1])
+            if abs(exponent) > _BROWNIAN_SAFE_EXPONENT:
+                e = exponent
+                A, B = np.ldexp(A, -e), np.ldexp(B, -e)
             na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
         r = _pairwise_dist(A, B)
-        return np.subtract(np.add.outer(na, nb), r, out=r)
+        out = np.subtract(np.add.outer(na, nb), r, out=r)
+        return np.ldexp(out, e, out=out) if e else out
 
 
 @dataclass(frozen=True)
@@ -452,14 +492,7 @@ class Dataset:
         X = as_points(self.X)
         object.__setattr__(self, "X", X)
         if self.Y is not None:
-            Y = np.asarray(self.Y, dtype=float).reshape(-1)
-            if Y.shape[0] != X.shape[0]:
-                raise InputError(
-                    f"outputs have length {Y.shape[0]} but there are "
-                    f"{X.shape[0]} inputs"
-                )
-            if not np.all(np.isfinite(Y)):
-                raise InputError("outputs must be finite")
+            Y = as_values(self.Y, X.shape[0], "outputs", "inputs")
             object.__setattr__(self, "Y", Y)
 
     @property
@@ -485,13 +518,7 @@ class RepresenterFunction:
 
     def __post_init__(self):
         Z = as_points(self.centers)
-        c = np.asarray(self.coefficients, dtype=float).reshape(-1)
-        if c.shape[0] != Z.shape[0]:
-            raise InputError(
-                f"{c.shape[0]} coefficients for {Z.shape[0]} centers"
-            )
-        if not np.all(np.isfinite(c)):
-            raise InputError("coefficients must be finite")
+        c = as_values(self.coefficients, Z.shape[0], "coefficients", "centers")
         object.__setattr__(self, "centers", Z)
         object.__setattr__(self, "coefficients", c)
 

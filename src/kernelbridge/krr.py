@@ -13,13 +13,12 @@ prediction time and never alters the fitted coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError
-from .kernels import Dataset, Kernel, as_point, as_points, gram
+from .kernels import Dataset, Kernel, RepresenterFunction, as_point, as_points, gram
 from .linalg import factor_system
 
 __all__ = [
@@ -110,6 +109,6 @@ def predict(estimator: KRREstimator, x) -> float:
 
 def rkhs_norm(estimator: KRREstimator) -> float:
     """RKHS norm of the fitted function, ``sqrt(alpha^T K_XX alpha)``."""
-    K = gram(estimator.kernel, estimator.X, estimator.X)
-    value = float(estimator.coefficients @ K @ estimator.coefficients)
-    return math.sqrt(max(value, 0.0))
+    return RepresenterFunction(
+        estimator.kernel, estimator.X, estimator.coefficients
+    ).norm()

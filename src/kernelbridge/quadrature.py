@@ -25,7 +25,8 @@ from .errors import InputError, UnsupportedOperationError
 from . import gp
 from .duality import IdentityReport
 from .embeddings import DiscreteMeasure, mean_embed, mmd
-from .kernels import Dataset, Kernel, Matern, _pairwise_dist, as_point, as_points, gram
+from .kernels import Dataset, Kernel, Matern, _pairwise_dist, as_point, as_points
+from .kernels import as_values, gram
 from .linalg import cholesky_with_jitter, factor_system, nonnegative, shift_diagonal
 
 __all__ = [
@@ -101,13 +102,7 @@ def bq_posterior(rule: QuadratureRule, f_values):
     The system is factored without the invertibility gate: ``kq_weights``
     already gated this Gram matrix when it built the rule.
     """
-    f = np.asarray(f_values, dtype=float).reshape(-1)
-    if f.shape[0] != rule.n:
-        raise InputError(
-            f"{f.shape[0]} function values for {rule.n} nodes"
-        )
-    if not np.all(np.isfinite(f)):
-        raise InputError("function values must be finite")
+    f = as_values(f_values, rule.n, "function values", "nodes")
     K = gram(rule.kernel, rule.nodes, rule.nodes)
     noise = rule.n * rule.regularization
     system = shift_diagonal(K, noise) if noise > 0 else K

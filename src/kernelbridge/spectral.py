@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import Kernel, as_points, gram
+from .kernels import Kernel, as_count, as_points, as_values, gram
 from .linalg import symmetrize
 
 __all__ = [
@@ -77,10 +77,8 @@ def nystrom_eigensystem(kernel: Kernel, nodes, node_weights=None) -> EigenSystem
     if node_weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(node_weights, dtype=float).reshape(-1)
-        if w.shape[0] != n:
-            raise InputError(f"{w.shape[0]} weights for {n} nodes")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        w = as_values(node_weights, n, "weights", "nodes")
+        if np.any(w <= 0):
             raise InputError("node weights must be positive and finite")
         w = w / w.sum()
     K = gram(kernel, P, P)
@@ -154,11 +152,8 @@ def kl_sample(eig: EigenSystem, truncation: int, count: int, seed: int) -> np.nd
     nodes, one per row, with iid standard normal coefficients.
     """
     r = _check_truncation(eig, truncation)
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-        raise InputError("sample count must be an integer")
-    if count < 0:
-        raise InputError("sample count must be nonnegative")
+    count = as_count(count)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(count), r))
+    z = rng.standard_normal((count, r))
     basis = eig.eigenfunctions_at_nodes[:, :r] * np.sqrt(eig.eigenvalues[:r])[None, :]
     return z @ basis.T

@@ -103,10 +103,10 @@ def test_optimal_error_never_grows_when_a_node_is_added():
     kernel = SquaredExponential(gamma=0.9)
     X = make_nodes(5, 4)
     x = np.array([0.4])
-    small = worst_case_error(kernel, X, optimal_weights(kernel, X, x).weights, x)
+    small = worst_case_error(kernel, X, optimal_weights(kernel, X, x), x)
     bigger_set = np.vstack([X, [[-0.6]]])
     grown = worst_case_error(
-        kernel, bigger_set, optimal_weights(kernel, bigger_set, x).weights, x
+        kernel, bigger_set, optimal_weights(kernel, bigger_set, x), x
     )
     assert grown <= small + 1e-10
 
@@ -235,7 +235,7 @@ def test_huge_noise_shrinks_the_optimal_weights():
     noise = 1e6
     wv = optimal_weights(kernel, X, x, noise_variance=noise)
     k_x = gram(kernel, X, x[None, :])[:, 0]
-    assert np.linalg.norm(wv.weights) <= np.linalg.norm(k_x) / noise
+    assert np.linalg.norm(wv) <= np.linalg.norm(k_x) / noise
 
 
 def test_single_node_weight_closed_form():
@@ -246,7 +246,7 @@ def test_single_node_weight_closed_form():
     wv = optimal_weights(kernel, X, x, noise_variance=noise)
     k00 = kernel_eval(kernel, 0.0, 0.0)
     k0x = kernel_eval(kernel, 0.0, 0.8)
-    assert wv.weights[0] == pytest.approx(k0x / (k00 + noise), rel=1e-12)
+    assert wv[0] == pytest.approx(k0x / (k00 + noise), rel=1e-12)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -260,7 +260,7 @@ def test_regularized_weights_minimize_the_penalized_error(kernel):
     assert report.gradient_norm <= 1e-8
     wv = optimal_weights(kernel, X, x, noise_variance=noise)
     assert report.objective == pytest.approx(
-        oracles.weight_objective(kernel, X, x, noise, wv.weights), rel=1e-10
+        oracles.weight_objective(kernel, X, x, noise, wv), rel=1e-10
     )
 
 

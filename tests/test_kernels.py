@@ -1,6 +1,9 @@
-"""Kernel families: closed forms, Gram assembly, spectral densities, text form."""
+"""Kernel families: closed forms, Gram assembly, spectral densities, text form,
+and the shared coercers of per-point values and sample counts."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+import kernelbridge
+from kernelbridge import duality
+from kernelbridge.duality import worst_case_error
+from kernelbridge.embeddings import DiscreteMeasure
 from kernelbridge.errors import InputError, UnsupportedOperationError
+from kernelbridge.gp import GPPrior, sample_prior
 from kernelbridge.kernels import (
     BrownianDistance,
     Dataset,
@@ -26,6 +34,8 @@ from kernelbridge.kernels import (
     parse_kernel,
     spectral_density,
 )
+from kernelbridge.quadrature import bq_posterior, kq_weights
+from kernelbridge.spectral import kl_sample, nystrom_eigensystem
 
 LEAF_FAMILIES = [
     SquaredExponential(gamma=0.7),
@@ -279,6 +289,32 @@ def test_matern_five_halves_never_exceeds_its_diagonal():
     assert K[0, 0] == 1.0
 
 
+def test_brownian_grams_are_exact_where_squares_overflow_or_underflow():
+    # In d = 2 the norms and distances go through squares, which leave the
+    # float range at these scales although the kernel values do not.
+    K = gram(BrownianDistance(), [[1e200, 0.0]], [[1e200, 0.0]])
+    np.testing.assert_array_equal(K, [[2e200]], strict=True)
+    tiny = [[1e-200, 0.0], [2e-200, 0.0]]
+    np.testing.assert_array_equal(
+        gram(BrownianDistance(), tiny, tiny),
+        [[2e-200, 2e-200], [2e-200, 4e-200]],
+        strict=True,
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("shift", [-1000, -600, 600, 1000])
+def test_brownian_grams_scale_exactly_by_powers_of_two(d, shift):
+    # The kernel is homogeneous of degree 1, so far outside the normal range
+    # it must give the normal-range bits scaled by the same power of two.
+    A = random_points(41, 9, d)
+    B = random_points(42, 6, d)
+    K = gram(BrownianDistance(), np.ldexp(A, shift), np.ldexp(B, shift))
+    np.testing.assert_array_equal(
+        K, np.ldexp(gram(BrownianDistance(), A, B), shift), strict=True
+    )
+
+
 # Coordinates of either sign with magnitudes log-uniform in 1e-300..1e300.
 _WIDE_COORDINATE = st.builds(
     lambda sign, exponent: sign * 10.0**exponent,
@@ -433,6 +469,98 @@ def test_representer_function_matches_the_expansion_oracle():
 def test_representer_function_rejects_ragged_coefficients():
     with pytest.raises(InputError):
         RepresenterFunction(SquaredExponential(), np.zeros((3, 1)), np.zeros(2))
+
+
+# Every vector of one value per point goes through kernels.as_values.
+_TWO_POINTS = [[0.0], [1.0]]
+_PER_POINT_VALUES = [
+    ("outputs", "inputs", lambda v: Dataset(_TWO_POINTS, v)),
+    (
+        "coefficients",
+        "centers",
+        lambda v: RepresenterFunction(SquaredExponential(), _TWO_POINTS, v),
+    ),
+    ("weights", "atoms", lambda v: DiscreteMeasure(_TWO_POINTS, v)),
+    (
+        "weights",
+        "nodes",
+        lambda v: worst_case_error(SquaredExponential(), _TWO_POINTS, v, [0.5]),
+    ),
+    (
+        "weights",
+        "nodes",
+        lambda v: nystrom_eigensystem(SquaredExponential(), _TWO_POINTS, v),
+    ),
+    (
+        "function values",
+        "nodes",
+        lambda v: bq_posterior(
+            kq_weights(
+                SquaredExponential(), _TWO_POINTS, DiscreteMeasure.point_mass([0.5])
+            ),
+            v,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "what,per,build",
+    _PER_POINT_VALUES,
+    ids=[
+        "Dataset",
+        "RepresenterFunction",
+        "DiscreteMeasure",
+        "worst_case_error",
+        "nystrom_eigensystem",
+        "bq_posterior",
+    ],
+)
+def test_per_point_values_name_the_length_and_finiteness_errors(what, per, build):
+    build([0.5, 1.0])
+    with pytest.raises(InputError, match=f"^3 {what} for 2 {per}$"):
+        build([0.5, 1.0, 2.0])
+    with pytest.raises(InputError, match=f"^{what} must be finite$"):
+        build([0.5, np.nan])
+
+
+_SAMPLERS = {
+    "gp.sample_prior": lambda count: sample_prior(
+        GPPrior(SquaredExponential()), np.zeros((2, 1)), count, seed=0
+    ),
+    "spectral.kl_sample": lambda count: kl_sample(
+        nystrom_eigensystem(SquaredExponential(), [[0.0], [1.0]]), 2, count, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+def test_sample_counts_are_integers_at_least_zero(sampler):
+    draw = _SAMPLERS[sampler]
+    assert draw(np.int64(3)).shape == (3, 2)
+    assert draw(0).shape == (0, 2)
+    with pytest.raises(InputError, match="^sample count must be an integer$"):
+        draw(True)
+    with pytest.raises(InputError, match="^sample count must be nonnegative$"):
+        draw(-1)
+
+
+def test_each_primitive_has_one_implementation():
+    package = Path(kernelbridge.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    # Single kernel values go through kernels.eval, not a 1 x 1 Gram matrix.
+    one_by_one = re.compile(r"gram\((?:[^()]|\([^()]*\))*\)\[0, 0\]")
+    assert [
+        name
+        for name, text in sources.items()
+        if name != "kernels.py" and one_by_one.search(text)
+    ] == []
+    # Sample counts are checked by kernels.as_count alone.
+    assert [
+        name for name, text in sources.items() if "sample count must be" in text
+    ] == ["kernels.py"]
+    # optimal_weights returns the weight array itself.
+    assert not hasattr(duality, "WeightVector")
 
 
 # ----------------------------------------------------------------------

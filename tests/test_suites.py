@@ -1,11 +1,14 @@
 """Randomized verification suites: coverage, determinism, case structure."""
 
 import hashlib
+import inspect
 from dataclasses import asdict
 
 import pytest
 
+from kernelbridge import suites
 from kernelbridge.errors import InputError
+from kernelbridge.reporting import stable_digest
 from kernelbridge.suites import SUITE_NAMES, run_suite
 
 # sha256 of the "case_id inputs_digest" lines of run_suite("all", 0, 5):
@@ -60,6 +63,32 @@ def test_the_instance_stream_is_pinned():
         for case in run_suite("all", seed=0, trials=5)
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == INSTANCE_STREAM_SHA256
+
+
+def test_the_redraw_loop_is_the_one_plain_draw_function():
+    # The benchmark tracer reads suites.spd_stats.accept_ratio by counting the
+    # returns of every suites._draw* callable: a rename would make it read 0,
+    # and a generator would be counted once per creation.
+    assert inspect.isfunction(suites._draw_instance)
+    assert not inspect.isgeneratorfunction(suites._draw_instance)
+    assert [name for name in vars(suites) if name.startswith("_draw")] == [
+        "_draw_instance"
+    ]
+
+
+def test_each_payload_is_digested_once(monkeypatch):
+    digested = []
+
+    def counting_digest(payload):
+        digested.append(payload)
+        return stable_digest(payload)
+
+    monkeypatch.setattr(suites, "stable_digest", counting_digest)
+    cases = run_suite("all", seed=0, trials=2)
+    assert len(cases) == 2 * sum(CASES_PER_TRIAL.values())
+    # One payload per trial and suite, except bq-kq, whose mean check adds
+    # the function values to its inputs.
+    assert len(digested) == 2 * (len(SUITE_NAMES) + 1)
 
 
 def test_the_combined_run_concatenates_in_declaration_order():
