@@ -10,6 +10,14 @@ over replications, and compare the log-log slope with the reference
 exponent. The slope is statistical, so it is checked against a band
 rather than a tolerance.
 
+The fits are O(n): the Matern kernel on the line is a state-space model,
+so :func:`kernelbridge.statespace.krr_coefficients` gets the ridge
+coefficients of all replications of one size from one Kalman filter and
+backward pass, without an n x n Gram matrix or its factorization. The
+coefficients are the ones :func:`kernelbridge.krr.fit_krr` solves for
+densely, to roundoff; predictions still go through
+:func:`kernelbridge.krr.predict_at`.
+
 Targets are fixed representer combinations registered by name, which
 keeps their smoothness tied to the kernel family by construction and the
 whole run deterministic for a given seed.
@@ -21,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import krr
+from . import krr, statespace
 from .errors import InputError, UnsupportedOperationError
-from .kernels import Dataset, Kernel, Matern, RepresenterFunction
+from .kernels import Kernel, Matern, RepresenterFunction
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -94,9 +102,10 @@ def rate_experiment(
     For each sample size ``n`` and replication the experiment draws ``n``
     uniform inputs, evaluates the target, adds centered Gaussian noise
     with standard deviation 0.1, fits the ridge estimator at
-    ``lambda = lambda_coefficient / n``, and records the squared L2
-    distance to the target via the trapezoid rule on a dense grid. Errors
-    are averaged over replications before the slope fit.
+    ``lambda = lambda_coefficient / n`` (all replications of a size in one
+    state-space pass), and records the squared L2 distance to the target
+    via the trapezoid rule on a dense grid. Errors are averaged over
+    replications before the slope fit.
     """
     if not isinstance(kernel, Matern):
         raise UnsupportedOperationError(
@@ -123,15 +132,20 @@ def rate_experiment(
     target_on_grid = target.at(grid)
     mean_errors = []
     for size_index, n in enumerate(sizes):
-        trials = []
+        X = np.empty((replications, n, 1))
+        Y = np.empty((replications, n))
         for rep in range(replications):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, size_index, rep))
             )
-            X = rng.uniform(0.0, 1.0, n)
+            X[rep, :, 0] = rng.uniform(0.0, 1.0, n)
             noise = rng.normal(0.0, NOISE_STANDARD_DEVIATION, n)
-            Y = target.at(X) + noise
-            estimator = krr.fit_krr(kernel, Dataset(X, Y), lambda_coefficient / n)
+            Y[rep] = target.at(X[rep]) + noise
+        lam = lambda_coefficient / n
+        coefficients = statespace.krr_coefficients(kernel, X, Y, n * lam)
+        trials = []
+        for inputs, alpha in zip(X, coefficients):
+            estimator = krr.KRREstimator(kernel, inputs, alpha, lam)
             residual = krr.predict_at(estimator, grid) - target_on_grid
             trials.append(float(_trapezoid(residual * residual, grid)))
         mean_errors.append(float(np.mean(trials)))

@@ -6,8 +6,9 @@ needed) and the residual weights ``(K_XX + noise * I)^{-1} (Y - m_X)``;
 every query is a pair of kernel evaluations plus triangular solves against
 that factor.
 
-With zero noise the Gram matrix must pass the numerical invertibility gate
-of :func:`~kernelbridge.linalg.factor_system`: conditioning on duplicated
+With zero noise, or noise lost to roundoff on every diagonal entry, the
+Gram matrix must pass the numerical invertibility gate of
+:func:`~kernelbridge.linalg.factor_system`: conditioning on duplicated
 inputs raises :class:`~kernelbridge.errors.NumericalError` instead of
 silently regularizing.
 """
@@ -101,9 +102,10 @@ def condition(prior: GPPrior, data: Dataset, noise_variance: float) -> GPPosteri
     ``m(x) + k_xX (K_XX + s2 I)^{-1} (Y - m_X)`` and
     ``k(x, x') - k_xX (K_XX + s2 I)^{-1} k_Xx'``.
 
-    With ``noise_variance == 0`` the Gram matrix must be numerically
-    invertible. An empty dataset returns a posterior that reproduces the
-    prior exactly.
+    With ``noise_variance == 0``, or a noise variance that leaves every
+    diagonal entry of ``K_XX`` unchanged, the Gram matrix must be
+    numerically invertible. An empty dataset returns a posterior that
+    reproduces the prior exactly.
     """
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
@@ -160,6 +162,9 @@ def posterior_cov_raw(post: GPPosterior, x, y) -> float:
     if post.X.shape[0] == 0:
         return k_xy
     a = _solve_lower(post.cholesky.factor, _cross(post, xv[None, :]).T)[:, 0]
+    if xv.tobytes() == yv.tobytes():
+        # The same point: b would be a again, bit for bit.
+        return k_xy - float(a @ a)
     b = _solve_lower(post.cholesky.factor, _cross(post, yv[None, :]).T)[:, 0]
     return k_xy - float(a @ b)
 

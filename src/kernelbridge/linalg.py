@@ -9,9 +9,10 @@ separate, eigenvalue-based check.
 
 :func:`factor_system` is the one entry point for the systems
 ``(K + ridge * I) x = b`` that the GP and RKHS sides both solve. The gate
-rule: a noise-free system (``ridge == 0.0``) must pass
-:func:`require_invertible`; a ridged one is factored without the gate. The
-result, a :class:`Cholesky`, keeps the jitter next to the factor.
+rule: a noise-free system (``ridge == 0.0``, or a ridge lost to roundoff on
+every diagonal entry) must pass :func:`require_invertible`; a ridged one is
+factored without the gate. The result, a :class:`Cholesky`, keeps the
+jitter next to the factor.
 
 Solves against a Cholesky factor are blocked triangular substitutions in
 plain numpy: O(n^2) work per right-hand side, rather than a pivoted LU of
@@ -188,9 +189,12 @@ def factor_system(gram: np.ndarray, ridge: float, name: str = "matrix") -> Chole
     """Factor ``gram + ridge * I``; with ``ridge == 0.0`` gate ``gram`` first.
 
     The ridge is added as given, so the factored matrix is bit for bit the
-    one a caller would assemble itself.
+    one a caller would assemble itself. A ridge that leaves every diagonal
+    entry bitwise unchanged (1e-300 next to entries of order 1) is gated
+    like a ridge of 0.0, since the system it gives is ``gram`` itself.
     """
-    if ridge == 0.0:
+    diagonal = np.diagonal(gram)
+    if ridge == 0.0 or (diagonal.size and np.array_equal(diagonal + ridge, diagonal)):
         require_invertible(gram, name=name)
         return cholesky_with_jitter(gram, name=name)
     system = shift_diagonal(gram, ridge)

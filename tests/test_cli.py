@@ -244,6 +244,26 @@ def test_verify_output_does_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+def test_the_package_imports_no_scipy():
+    # scipy is a test-only dependency; importing scipy.linalg alone costs more
+    # than the command line's whole start-up.
+    src = str(Path(kernelbridge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import kernelbridge, kernelbridge.cli\n"
+        "for module in pkgutil.iter_modules(kernelbridge.__path__):\n"
+        "    importlib.import_module('kernelbridge.' + module.name)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # ----------------------------------------------------------------------
 # regress
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from kernelbridge import gp as gp_module
+from kernelbridge import linalg
 from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.gp import (
     GPPrior,
@@ -111,12 +113,30 @@ def test_noise_free_conditioning_on_conflicting_duplicates_fails():
         condition(prior, Dataset(X, Y), noise_variance=0.0)
 
 
-def test_the_posterior_keeps_the_jitter_of_its_factorization():
-    # 1e-300 vanishes next to k(x, x) = 1, so only the jitter makes the
-    # duplicated-input system factorable.
+def test_a_ridge_lost_to_roundoff_is_gated_like_no_ridge():
+    # 1e-300 vanishes next to k(x, x) = 1: the system is K_XX itself.
+    prior = GPPrior(SquaredExponential())
+    data = Dataset(np.array([[0.5], [0.5]]), np.array([0.0, 1.0]))
+    with pytest.raises(NumericalError) as noise_free:
+        condition(prior, data, noise_variance=0.0)
+    with pytest.raises(NumericalError) as lost:
+        condition(prior, data, noise_variance=1e-300)
+    assert str(lost.value) == str(noise_free.value)
+
+
+def test_the_posterior_keeps_the_jitter_of_its_factorization(monkeypatch):
+    # factor_system reaches cholesky_with_jitter through linalg's module
+    # globals; this stand-in always needs jitter 1e-9.
+    factor = linalg.cholesky_with_jitter
+
+    def jittered(matrix, name="matrix"):
+        return linalg.Cholesky(factor(linalg.shift_diagonal(matrix, 1e-9), name).factor, 1e-9)
+
     prior = GPPrior(SquaredExponential())
     X = np.array([[0.5], [0.5]])
-    post = condition(prior, Dataset(X, np.array([0.0, 1.0])), noise_variance=1e-300)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "cholesky_with_jitter", jittered)
+        post = condition(prior, Dataset(X, np.array([0.0, 1.0])), noise_variance=0.25)
     assert post.cholesky.jitter > 0.0
     assert condition(prior, make_data(0, 4), 0.1).cholesky.jitter == 0.0
 
@@ -197,6 +217,27 @@ def test_posterior_variances_beyond_one_solve_block_match_the_dense_formula():
     k_25 = gram(kernel, queries[2:3], queries[5:6])[0, 0]
     want_cross = k_25 - K_qn[2] @ np.linalg.solve(K_n, K_qn[5])
     assert cross == pytest.approx(want_cross, rel=1e-9, abs=1e-12)
+
+
+def test_a_variance_query_solves_once_with_the_bits_of_two_solves(monkeypatch):
+    kernel = Matern(alpha=1.5, h=0.5)
+    post = condition(GPPrior(kernel), make_data(3, 80), noise_variance=0.1)
+    q = np.array([0.3])
+    r = np.array([-0.4])
+    L = post.cholesky.factor
+    a = linalg._solve_lower(L, gram(kernel, q[None, :], post.X).T)[:, 0]
+    b = linalg._solve_lower(L, gram(kernel, q.copy()[None, :], post.X).T)[:, 0]
+    solves = []
+
+    def counted(factor, rhs):
+        solves.append(rhs.shape)
+        return linalg._solve_lower(factor, rhs)
+
+    monkeypatch.setattr(gp_module, "_solve_lower", counted)
+    assert posterior_cov_raw(post, q, q.copy()) == kernel_eval(kernel, q, q) - float(a @ b)
+    assert len(solves) == 1
+    posterior_cov_raw(post, q, r)
+    assert len(solves) == 3
 
 
 def test_posterior_variance_clamp_never_reports_negative_values():

@@ -158,9 +158,13 @@ def test_factor_system_gates_only_the_noise_free_system():
     M = v @ v.T
     with pytest.raises(NumericalError, match="M is numerically singular"):
         factor_system(M, 0.0, "M")
-    # 1e-300 is lost to roundoff against entries of order 1, so the ridged
-    # system is still singular and the jitter schedule rescues it.
-    L, jitter = factor_system(M, 1e-300, "M")
+    # 1e-300 is lost to roundoff on every diagonal entry, so the system is M
+    # itself and is gated like ridge 0.
+    with pytest.raises(NumericalError, match="M is numerically singular"):
+        factor_system(M, 1e-300, "M")
+    # 2e-16 moves the entry 1 by one ulp but not 4 or 9: the ridged system is
+    # factored ungated, is still singular, and the jitter schedule rescues it.
+    L, jitter = factor_system(M, 2e-16, "M")
     assert jitter > 0.0
     np.testing.assert_allclose(L @ L.T, M + jitter * np.eye(3), rtol=1e-8, atol=1e-12)
 

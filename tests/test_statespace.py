@@ -1,0 +1,117 @@
+"""State-space ridge coefficients against the dense KRR and GP formulas.
+
+Each side computes its own formula: ``statespace`` runs a Kalman filter and
+a backward Bryson-Frazier pass, ``krr.fit_krr`` factors ``K + ridge I``, and
+``gp.posterior_mean_at`` predicts from ``gp.condition``. Agreement is a third
+check of the GP = KRR identity.
+"""
+
+import numpy as np
+import pytest
+
+from kernelbridge import experiments, gp, krr, statespace
+from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
+from kernelbridge.kernels import Dataset, Matern, SquaredExponential, gram
+
+EPS = np.finfo(float).eps
+
+
+def _inputs(n, seed):
+    """Unsorted uniform inputs with an exact duplicate and a 1e-12 near-tie."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, n)
+    if n >= 2:
+        x[1] = x[0]
+    if n >= 4:
+        x[3] = x[2] + 1e-12
+    return x[:, None], rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024])
+@pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("h", [0.05, 0.2, 1.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_coefficients_match_the_dense_krr_and_gp_formulas(alpha, h, ridge, n):
+    kernel = Matern(alpha=alpha, h=h)
+    X, y = _inputs(n, seed=n)
+    data = Dataset(X, y)
+    c = statespace.krr_coefficients(kernel, X[None], y[None], ridge)[0]
+    dense = krr.fit_krr(kernel, data, ridge / n).coefficients
+    system = gram(kernel, X, X) + ridge * np.eye(n)
+
+    def residual(coefficients):
+        return np.linalg.norm(system @ coefficients - y) / np.linalg.norm(y)
+
+    # Backward error: within a small factor of the dense Cholesky solve's.
+    assert residual(c) <= 4.0 * max(residual(dense), EPS)
+    # Forward error: lambda_max(K) <= trace(K) = n bounds the condition number.
+    cond = (n + ridge) / ridge
+    assert np.linalg.norm(c - dense) <= 16.0 * cond * EPS * np.linalg.norm(dense)
+    grid = np.linspace(-0.1, 1.1, 41)
+    posterior = gp.condition(gp.GPPrior(kernel), data, ridge)
+    np.testing.assert_allclose(
+        gram(kernel, grid, X) @ c,
+        gp.posterior_mean_at(posterior, grid),
+        rtol=0.0,
+        atol=16.0 * cond * EPS * np.max(np.abs(y)),
+    )
+
+
+def test_a_batch_is_solved_dataset_by_dataset_in_the_original_order():
+    kernel = Matern(alpha=1.5, h=0.2)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, (3, 40, 1))
+    Y = rng.normal(size=(3, 40))
+    batch = statespace.krr_coefficients(kernel, X, Y, 0.1)
+    for b in range(3):
+        alone = statespace.krr_coefficients(kernel, X[b : b + 1], Y[b : b + 1], 0.1)
+        np.testing.assert_array_equal(batch[b], alone[0])
+        dense = krr.fit_krr(kernel, Dataset(X[b], Y[b]), 0.1 / 40).coefficients
+        np.testing.assert_allclose(batch[b], dense, rtol=1e-9, atol=1e-12)
+
+
+def test_inputs_are_validated():
+    kernel = Matern(alpha=1.5, h=0.2)
+    X = np.linspace(0.0, 1.0, 5)[None, :, None]
+    Y = np.ones((1, 5))
+    with pytest.raises(InputError):
+        statespace.krr_coefficients(kernel, np.repeat(X, 2, axis=2), Y, 0.1)
+    with pytest.raises(InputError):
+        statespace.krr_coefficients(kernel, X[0], Y, 0.1)
+    with pytest.raises(InputError):
+        statespace.krr_coefficients(kernel, X, Y[:, :4], 0.1)
+    with pytest.raises(InputError):
+        statespace.krr_coefficients(kernel, X, np.full((1, 5), np.nan), 0.1)
+    for ridge in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InputError):
+            statespace.krr_coefficients(kernel, X, Y, ridge)
+    with pytest.raises(UnsupportedOperationError):
+        statespace.krr_coefficients(SquaredExponential(), X, Y, 0.1)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5])
+def test_an_innovation_variance_that_is_not_finite_raises(alpha):
+    # lam = sqrt(2 alpha) / h overflows lam^2 in the stationary covariance.
+    X = np.linspace(0.0, 1.0, 5)[None, :, None]
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="innovation"):
+        statespace.krr_coefficients(Matern(alpha=alpha, h=1e-200), X, np.ones((1, 5)), 0.1)
+
+
+def test_the_rate_experiment_builds_no_training_gram_and_factors_nothing(monkeypatch):
+    calls = []
+    inner = Matern._gram
+
+    def recording(self, A, B):
+        calls.append((A, B))
+        return inner(self, A, B)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rate_experiment factored a dense system")
+
+    monkeypatch.setattr(Matern, "_gram", recording)
+    monkeypatch.setattr(krr, "factor_system", refuse)
+    experiments.rate_experiment(
+        "matern32-mix", Matern(alpha=1.5, h=0.2), sizes=(16, 32, 64), replications=2
+    )
+    assert calls
+    assert not any(A.shape == B.shape and np.array_equal(A, B) for A, B in calls)
