@@ -47,7 +47,7 @@ _BOTH_MODE_TOLERANCE = 1e-8
 
 def _read_rows(path: str):
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             return list(csv.reader(handle))
     except OSError as exc:
         raise InputError(f"could not read {path}: {exc}") from None

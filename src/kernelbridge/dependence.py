@@ -110,8 +110,8 @@ def hsic_gp_monte_carlo(
     if draws < 2:
         raise InputError("at least two draws are needed for a standard error")
     rng = np.random.default_rng(seed)
-    fc = sample_gaussian(rng, H @ K @ H, draws, 1e-12 * np.trace(K) / n)
-    gc = sample_gaussian(rng, H @ L @ H, draws, 1e-12 * np.trace(L) / n)
+    fc = sample_gaussian(rng, H @ K @ H, draws, K)
+    gc = sample_gaussian(rng, H @ L @ H, draws, L)
     covariances = np.einsum("ij,ij->i", fc, gc) / n
     samples = covariances * covariances
     estimate = float(samples.mean())

@@ -158,8 +158,7 @@ def verify_average_case(
         K_union = gram(kernel, atoms, atoms)
         gp_variance = float(coeffs @ K_union @ coeffs)
         rng = np.random.default_rng(seed)
-        clamp = 1e-12 * float(np.trace(K_union)) / atoms.shape[0]
-        f_draws = sample_gaussian(rng, K_union, int(draws), clamp)
+        f_draws = sample_gaussian(rng, K_union, int(draws), K_union)
         samples = (f_draws @ coeffs) ** 2
     mc_estimate = float(samples.mean())
     mc_se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
@@ -196,33 +195,33 @@ def bayes_kmean_posterior(
     power_gram: np.ndarray,
     empirical_mean: np.ndarray,
     noise_variance: float,
-    query_row: np.ndarray,
-    query_diag: float,
 ):
-    """Posterior mean and variance for a kernel mean under a GP prior.
+    """Posterior means and variances for a kernel mean under a GP prior.
 
     The prior covariance is a (possibly spectrally damped) kernel whose
     Gram matrix at the sample points is ``power_gram``; the data are the
     empirical-embedding values ``empirical_mean`` observed with noise
-    ``noise_variance``. Returns ``(mean, variance)`` at a query point
-    described by its cross-covariance row and prior variance.
+    ``noise_variance``. Returns ``(means, variances)`` at the n sample
+    points, from one factorization of ``power_gram + noise_variance * I``.
+    Each mean is its own ``row @ weights`` dot, so it keeps the bits of a
+    one-point evaluation.
 
     With the undamped kernel and ``noise_variance = n * lam``, the
-    posterior mean at the sample points reproduces :func:`skme` exactly.
+    posterior means reproduce :func:`skme` at the sample points exactly.
     """
     if not np.isfinite(noise_variance) or noise_variance <= 0:
         raise InputError("noise variance must be positive and finite")
     Kt = np.asarray(power_gram, dtype=float)
-    mu = np.asarray(empirical_mean, dtype=float).reshape(-1)
-    row = np.asarray(query_row, dtype=float).reshape(-1)
-    n = Kt.shape[0]
-    if Kt.shape != (n, n):
+    if Kt.ndim != 2 or Kt.shape[0] != Kt.shape[1]:
         raise InputError(f"power_gram must be square, got shape {Kt.shape}")
-    if mu.shape[0] != n or row.shape[0] != n:
-        raise InputError(
-            "empirical_mean and query_row must match the Gram dimension"
-        )
+    if not np.all(np.isfinite(Kt)):
+        raise InputError("power_gram must be finite")
+    mu = as_values(empirical_mean, Kt.shape[0], "empirical-mean values", "sample points")
     chol = factor_system(Kt, noise_variance, name="K_theta")
-    mean = float(row @ chol.solve(mu))
-    variance = float(query_diag) - float(row @ chol.solve(row))
-    return mean, nonnegative(variance, "posterior variance")
+    weights = chol.solve(mu)
+    means = np.array([row @ weights for row in Kt])
+    reduction = np.einsum("ij,ji->i", Kt, chol.solve(Kt.T))
+    variances = [
+        nonnegative(float(v), "posterior variance") for v in np.diagonal(Kt) - reduction
+    ]
+    return means, np.array(variances)

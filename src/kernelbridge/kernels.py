@@ -206,12 +206,6 @@ class Kernel:
     def _gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, x, y) -> float:
-        return eval(self, x, y)
-
-    def gram(self, A, B) -> np.ndarray:
-        return gram(self, A, B)
-
 
 @dataclass(frozen=True)
 class SquaredExponential(Kernel):

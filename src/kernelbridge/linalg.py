@@ -215,22 +215,23 @@ def sample_gaussian(
     rng: np.random.Generator,
     covariance: np.ndarray,
     count: int,
-    clamp_scale: float,
+    reference: np.ndarray,
 ) -> np.ndarray:
     """Draw ``count`` vectors from N(0, covariance) by eigendecomposition.
 
-    Eigenvalues below ``clamp_scale`` (an absolute threshold supplied by the
-    caller, typically ``1e-12 * trace/n`` of a reference matrix) are set to
-    zero, so degenerate directions carry exactly zero sample mass. This is
-    what makes identities such as "a measure minus itself has Monte-Carlo
-    estimate exactly 0" hold bitwise rather than to tolerance.
+    Eigenvalues below ``JITTER_INITIAL * trace/n`` of the ``reference``
+    matrix (the covariance itself, or the Gram matrix it was derived from)
+    are set to zero, so degenerate directions carry exactly zero sample
+    mass. This is what makes identities such as "a measure minus itself has
+    Monte-Carlo estimate exactly 0" hold bitwise rather than to tolerance.
     """
     cov = symmetrize(np.asarray(covariance, dtype=float))
     n = cov.shape[0]
     if n == 0:
         return np.zeros((count, 0))
+    clamp = JITTER_INITIAL * float(np.trace(reference)) / n
     lam, vec = np.linalg.eigh(cov)
-    lam = np.where(lam < max(clamp_scale, 0.0), 0.0, lam)
+    lam = np.where(lam < max(clamp, 0.0), 0.0, lam)
     root = vec * np.sqrt(lam)[None, :]
     z = rng.standard_normal((count, n))
     return z @ root.T

@@ -450,6 +450,17 @@ def test_sample_draws_have_the_requested_shape_and_are_seeded(capsys, tmp_path):
     assert strip_wall_time(again) == strip_wall_time(out)
 
 
+def test_a_utf8_byte_order_mark_before_the_header_is_accepted(capsys, tmp_path):
+    plain = write_csv(tmp_path / "plain.csv", "x1", [(0.0,), (0.5,), (1.0,)])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    args = ("sample", "--kernel", "se", "--count", "2", "--seed", "3", "--points")
+    code, out, err = run_cli(capsys, *args, str(marked))
+    assert code == 0, err
+    _, expected, _ = run_cli(capsys, *args, plain)
+    assert strip_wall_time(out) == strip_wall_time(expected)
+
+
 # ----------------------------------------------------------------------
 # mmd
 # ----------------------------------------------------------------------

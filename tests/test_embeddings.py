@@ -288,12 +288,10 @@ def test_undamped_posterior_mean_reproduces_the_shrinkage_estimator():
     eig = nystrom_eigensystem(kernel, X)
     Kt = power_kernel(eig, 1.0)
     mu = gram(kernel, X, X) @ np.full(n, 1.0 / n)
-    for i in range(n):
-        mean, variance = bayes_kmean_posterior(
-            Kt, mu, n * lam, Kt[i], Kt[i, i]
-        )
-        assert mean == pytest.approx(float(estimator.at(X)[i]), abs=1e-8)
-        assert variance >= 0.0
+    means, variances = bayes_kmean_posterior(Kt, mu, n * lam)
+    assert means.shape == variances.shape == (n,)
+    np.testing.assert_allclose(means, estimator.at(X), rtol=0.0, atol=1e-8)
+    assert np.all(variances >= 0.0)
 
 
 def test_huge_observation_noise_returns_the_prior():
@@ -302,9 +300,9 @@ def test_huge_observation_noise_returns_the_prior():
     X = rng.uniform(-1.0, 1.0, (5, 1))
     K = gram(kernel, X, X)
     mu = K @ np.full(5, 0.2)
-    mean, variance = bayes_kmean_posterior(K, mu, 1e12, K[0], K[0, 0])
-    assert abs(mean) <= 1e-8
-    assert variance == pytest.approx(K[0, 0], rel=1e-6)
+    means, variances = bayes_kmean_posterior(K, mu, 1e12)
+    assert np.all(np.abs(means) <= 1e-8)
+    np.testing.assert_allclose(variances, np.diagonal(K), rtol=1e-6)
 
 
 def test_damped_posterior_variance_stays_inside_the_prior_range():
@@ -314,25 +312,33 @@ def test_damped_posterior_variance_stays_inside_the_prior_range():
     eig = nystrom_eigensystem(kernel, X)
     Kt = power_kernel(eig, 0.8)
     mu = gram(kernel, X, X) @ np.full(6, 1.0 / 6.0)
-    for i in range(6):
-        _, variance = bayes_kmean_posterior(Kt, mu, 0.1, Kt[i], Kt[i, i])
-        assert 0.0 <= variance <= Kt[i, i] + 1e-12
+    _, variances = bayes_kmean_posterior(Kt, mu, 0.1)
+    assert np.all(variances >= 0.0)
+    assert np.all(variances <= np.diagonal(Kt) + 1e-12)
 
 
 def test_a_negative_posterior_variance_beyond_roundoff_raises():
-    # -1 - [1, 0] (I + I)^{-1} [1, 0] = -1.5
-    with pytest.raises(NumericalError, match="posterior variance evaluated to -1.500e"):
-        bayes_kmean_posterior(np.eye(2), [0, 0], 1.0, [1, 0], -1.0)
+    # -1 - (-1) (-I + 2 I)^{-1} (-1) = -2 at each point
+    with pytest.raises(NumericalError, match="posterior variance evaluated to -2.000e"):
+        bayes_kmean_posterior(-np.eye(2), [0, 0], 2.0)
 
 
 def test_posterior_validates_shapes_and_noise():
     K = np.eye(3)
     mu = np.zeros(3)
     with pytest.raises(InputError):
-        bayes_kmean_posterior(K, mu, 0.0, K[0], 1.0)
+        bayes_kmean_posterior(K, mu, 0.0)
     with pytest.raises(InputError):
-        bayes_kmean_posterior(np.zeros((3, 2)), mu, 0.1, K[0], 1.0)
+        bayes_kmean_posterior(np.zeros((3, 2)), mu, 0.1)
     with pytest.raises(InputError):
-        bayes_kmean_posterior(K, np.zeros(2), 0.1, K[0], 1.0)
-    with pytest.raises(InputError):
-        bayes_kmean_posterior(K, mu, 0.1, np.zeros(2), 1.0)
+        bayes_kmean_posterior(K, np.zeros(2), 0.1)
+
+
+def test_posterior_rejects_a_non_finite_empirical_mean():
+    with pytest.raises(InputError, match="must be finite"):
+        bayes_kmean_posterior(np.eye(2), [np.nan, 0.0], 0.1)
+
+
+def test_posterior_rejects_a_non_finite_power_gram():
+    with pytest.raises(InputError, match="power_gram must be finite"):
+        bayes_kmean_posterior(np.array([[np.inf, 0.0], [0.0, 1.0]]), [0.0, 0.0], 0.1)

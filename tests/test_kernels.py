@@ -20,6 +20,7 @@ from kernelbridge.gp import GPPrior, sample_prior
 from kernelbridge.kernels import (
     BrownianDistance,
     Dataset,
+    Kernel,
     KroneckerDelta,
     Matern,
     Polynomial,
@@ -561,6 +562,8 @@ def test_each_primitive_has_one_implementation():
     ] == ["kernels.py"]
     # optimal_weights returns the weight array itself.
     assert not hasattr(duality, "WeightVector")
+    # Kernel values and Gram matrices are kernels.eval and kernels.gram, not methods.
+    assert "__call__" not in vars(Kernel) and "gram" not in vars(Kernel)
 
 
 # ----------------------------------------------------------------------

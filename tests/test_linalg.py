@@ -232,7 +232,7 @@ def test_sample_gaussian_zeroes_clamped_directions_exactly():
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
     C = np.outer(v, v)
     rng = np.random.default_rng(0)
-    draws = sample_gaussian(rng, C, 1000, clamp_scale=1e-12)
+    draws = sample_gaussian(rng, C, 1000, C)
     residual = draws @ np.array([1.0, -1.0]) / np.sqrt(2.0)
     np.testing.assert_array_equal(residual, np.zeros(1000))
 
@@ -240,7 +240,7 @@ def test_sample_gaussian_zeroes_clamped_directions_exactly():
 def test_sample_gaussian_matches_the_covariance_at_scale():
     C = random_spd(9, 3)
     rng = np.random.default_rng(1)
-    draws = sample_gaussian(rng, C, 200_000, clamp_scale=1e-12)
+    draws = sample_gaussian(rng, C, 200_000, C)
     empirical = draws.T @ draws / draws.shape[0]
     se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / draws.shape[0])
     assert np.all(np.abs(empirical - C) <= 5.0 * se)
@@ -248,6 +248,6 @@ def test_sample_gaussian_matches_the_covariance_at_scale():
 
 def test_sample_gaussian_is_deterministic_for_a_fixed_generator_state():
     C = random_spd(9, 3)
-    a = sample_gaussian(np.random.default_rng(7), C, 10, clamp_scale=1e-12)
-    b = sample_gaussian(np.random.default_rng(7), C, 10, clamp_scale=1e-12)
+    a = sample_gaussian(np.random.default_rng(7), C, 10, C)
+    b = sample_gaussian(np.random.default_rng(7), C, 10, C)
     np.testing.assert_array_equal(a, b)

@@ -6,8 +6,9 @@ from dataclasses import asdict
 
 import pytest
 
-from kernelbridge import suites
+from kernelbridge import embeddings, suites
 from kernelbridge.errors import InputError
+from kernelbridge.linalg import factor_system
 from kernelbridge.reporting import stable_digest
 from kernelbridge.suites import SUITE_NAMES, run_suite
 
@@ -89,6 +90,19 @@ def test_each_payload_is_digested_once(monkeypatch):
     # One payload per trial and suite, except bq-kq, whose mean check adds
     # the function values to its inputs.
     assert len(digested) == 2 * (len(SUITE_NAMES) + 1)
+
+
+def test_shrinkage_bayes_factors_once_per_side_and_trial(monkeypatch):
+    factored = []
+
+    def counting_factor_system(gram, ridge, name="matrix"):
+        factored.append(name)
+        return factor_system(gram, ridge, name=name)
+
+    monkeypatch.setattr(embeddings, "factor_system", counting_factor_system)
+    run_suite("shrinkage-bayes", seed=0, trials=5)
+    # skme factors K_XX once; the Bayes side factors K_theta once for all n points.
+    assert factored == ["K_XX", "K_theta"] * 5
 
 
 def test_the_combined_run_concatenates_in_declaration_order():
