@@ -45,7 +45,6 @@ from .kernels import (
     format_kernel,
     gram,
     parse_kernel,
-    spectral_density,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "Dataset",
     "RepresenterFunction",
     "gram",
-    "spectral_density",
     "parse_kernel",
     "format_kernel",
 ]

@@ -64,7 +64,9 @@ def _grams(kernel_x: Kernel, kernel_y: Kernel, sample: PairedSample):
 
 
 def _clamp_roundoff(value: float) -> float:
-    """Clamp a statistic at 0; below -1e-12 it is not roundoff, and raises."""
+    """Clamp roundoff at 0; a statistic not finite or below -1e-12 raises."""
+    if not np.isfinite(value):
+        raise NumericalError(f"dependence statistic evaluated to {value}")
     if value < -1e-12:
         raise NumericalError(
             f"dependence statistic evaluated to {value:.3e}; the Gram "

@@ -195,16 +195,16 @@ def bayes_kmean_posterior(
     power_gram: np.ndarray,
     empirical_mean: np.ndarray,
     noise_variance: float,
-):
-    """Posterior means and variances for a kernel mean under a GP prior.
+) -> np.ndarray:
+    """Posterior means of a kernel mean under a GP prior.
 
     The prior covariance is a (possibly spectrally damped) kernel whose
     Gram matrix at the sample points is ``power_gram``; the data are the
     empirical-embedding values ``empirical_mean`` observed with noise
-    ``noise_variance``. Returns ``(means, variances)`` at the n sample
-    points, from one factorization of ``power_gram + noise_variance * I``.
-    Each mean is its own ``row @ weights`` dot, so it keeps the bits of a
-    one-point evaluation.
+    ``noise_variance``. Returns the posterior means at the n sample points,
+    from one factorization of ``power_gram + noise_variance * I``. Each mean
+    is its own ``row @ weights`` dot, so it keeps the bits of a one-point
+    evaluation.
 
     With the undamped kernel and ``noise_variance = n * lam``, the
     posterior means reproduce :func:`skme` at the sample points exactly.
@@ -217,11 +217,5 @@ def bayes_kmean_posterior(
     if not np.all(np.isfinite(Kt)):
         raise InputError("power_gram must be finite")
     mu = as_values(empirical_mean, Kt.shape[0], "empirical-mean values", "sample points")
-    chol = factor_system(Kt, noise_variance, name="K_theta")
-    weights = chol.solve(mu)
-    means = np.array([row @ weights for row in Kt])
-    reduction = np.einsum("ij,ji->i", Kt, chol.solve(Kt.T))
-    variances = [
-        nonnegative(float(v), "posterior variance") for v in np.diagonal(Kt) - reduction
-    ]
-    return means, np.array(variances)
+    weights = factor_system(Kt, noise_variance, name="K_theta").solve(mu)
+    return np.array([row @ weights for row in Kt])

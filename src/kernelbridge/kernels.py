@@ -1,10 +1,8 @@
 """Positive definite kernel families and Gram-matrix assembly.
 
 A kernel is an immutable descriptor object. Pointwise evaluation goes
-through :func:`eval`, matrix assembly through :func:`gram`; the stationary
-families additionally expose their spectral density through
-:func:`spectral_density`. Kernels compose with :class:`Sum`,
-:class:`Product` and :class:`Scaled`.
+through :func:`eval`, matrix assembly through :func:`gram`. Kernels compose
+with :class:`Sum`, :class:`Product` and :class:`Scaled`.
 
 Conventions
 -----------
@@ -51,7 +49,7 @@ alone:
 Kernel tails then run in place on that array (Matern 3/2 and 5/2 add one
 more, for ``exp(-t)``, and leave the result in it), with the operations of
 the closed forms above in the same order, so every Gram entry is the value
-the plain expression gives. There are three exceptions:
+the plain expression gives. There are four exceptions:
 
 - Matern 3/2 and 5/2 cap ``t`` at a value past which ``exp(-t)`` is
   already 0, so an overflowing distance gives 0 where the plain expression
@@ -62,11 +60,14 @@ the plain expression gives. There are three exceptions:
 - BrownianDistance in ``d >= 2`` scales the coordinates, and then the
   result, by a power of two where the squares would overflow or underflow.
   Rows below about ``1e-154`` times the largest coordinate still underflow.
+- SquaredExponential, where ``gamma**2`` would underflow (``0/0`` on the
+  diagonal) or overflow, divides the distances by ``gamma`` and squares them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,6 @@ __all__ = [
     "RepresenterFunction",
     "eval",
     "gram",
-    "spectral_density",
     "parse_kernel",
     "format_kernel",
     "as_point",
@@ -104,6 +104,8 @@ _MATERN_T_CAP = 750.0
 # While the binary exponent of the largest coordinate is at most this in size,
 # Brownian squares in d >= 2 neither overflow nor leave the normal range.
 _BROWNIAN_SAFE_EXPONENT = 500
+# The length scales whose square is a normal float; see the module docstring.
+_SE_NORMAL_GAMMA = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 def as_point(x) -> np.ndarray:
@@ -220,10 +222,16 @@ class SquaredExponential(Kernel):
         )
 
     def _gram(self, A, B):
-        out = _pairwise_sqdist(A, B)
-        np.negative(out, out=out)
-        out /= self.gamma**2
-        return np.exp(out, out=out)
+        if _SE_NORMAL_GAMMA[0] <= self.gamma <= _SE_NORMAL_GAMMA[1]:
+            out = _pairwise_sqdist(A, B)
+            np.negative(out, out=out)
+            out /= self.gamma**2
+            return np.exp(out, out=out)
+        out = _pairwise_dist(A, B)
+        with np.errstate(over="ignore"):
+            out /= self.gamma
+            np.square(out, out=out)
+        return np.exp(np.negative(out, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -435,44 +443,6 @@ def gram(kernel: Kernel, A, B) -> np.ndarray:
             f"point dimensions differ: {Am.shape[1]} vs {Bm.shape[1]}"
         )
     return kernel._gram(Am, Bm)
-
-
-def spectral_density(kernel: Kernel, omega) -> float:
-    """Spectral density of a stationary kernel at frequency ``omega``.
-
-    Writing ``Phi`` for the kernel as a function of the lag, this returns
-    the closed-form value of the Fourier transform of ``Phi`` in dimension
-    ``d = len(omega)``:
-
-    - squared exponential: ``pi^{d/2} gamma^d exp(-gamma^2 ||omega||^2 / 4)``;
-    - Matern: ``C (2 alpha / h^2 + 4 pi^2 ||omega||^2)^{-(alpha + d/2)}``
-      with ``C = 2^d pi^{d/2} Gamma(alpha + d/2) (2 alpha)^alpha /
-      (Gamma(alpha) h^{2 alpha})``.
-
-    The value is positive, even in ``omega``, and strictly decreasing in
-    ``||omega||``. Families without a spectral density here raise
-    :class:`UnsupportedOperationError`.
-    """
-    w = as_point(omega)
-    d = w.shape[0]
-    wsq = float(w @ w)
-    if isinstance(kernel, SquaredExponential):
-        g = kernel.gamma
-        return math.pi ** (d / 2.0) * g**d * math.exp(-(g**2) * wsq / 4.0)
-    if isinstance(kernel, Matern):
-        a = kernel.alpha
-        h = kernel.h
-        const = (
-            2.0**d
-            * math.pi ** (d / 2.0)
-            * math.gamma(a + d / 2.0)
-            * (2.0 * a) ** a
-            / (math.gamma(a) * h ** (2.0 * a))
-        )
-        return const * (2.0 * a / h**2 + 4.0 * math.pi**2 * wsq) ** (-(a + d / 2.0))
-    raise UnsupportedOperationError(
-        f"spectral density is not available for {type(kernel).__name__}"
-    )
 
 
 @dataclass(frozen=True, eq=False)

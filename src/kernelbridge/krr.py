@@ -6,19 +6,16 @@ limit, defined only when the Gram matrix is numerically invertible. The two
 sit on the frequentist side of the GP correspondence: with
 ``noise = n * lambda`` the KRR prediction coincides with the GP posterior
 mean, which the verification suites check to 1e-8.
-
-Predictions can optionally be clipped to ``[-M, M]``; clipping is applied at
-prediction time and never alters the fitted coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .kernels import Dataset, Kernel, RepresenterFunction, as_point, as_points, gram
+from .kernels import Dataset, Kernel, RepresenterFunction, as_point, gram
 from .linalg import factor_system
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "predict",
     "predict_at",
     "rkhs_norm",
-    "with_clip",
 ]
 
 
@@ -40,7 +36,6 @@ class KRREstimator:
     X: np.ndarray
     coefficients: np.ndarray
     regularization: float
-    clip_bound: float | None = None
 
 
 def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> KRREstimator:
@@ -86,20 +81,9 @@ def fit_interpolant(kernel: Kernel, data: Dataset) -> KRREstimator:
     )
 
 
-def with_clip(estimator: KRREstimator, bound: float) -> KRREstimator:
-    """Return a copy whose predictions are clipped to ``[-bound, bound]``."""
-    if not np.isfinite(bound) or bound <= 0:
-        raise InputError("clip bound must be positive and finite")
-    return replace(estimator, clip_bound=float(bound))
-
-
 def predict_at(estimator: KRREstimator, points) -> np.ndarray:
     """Predict at every row of a point set."""
-    P = as_points(points)
-    values = gram(estimator.kernel, P, estimator.X) @ estimator.coefficients
-    if estimator.clip_bound is not None:
-        values = np.clip(values, -estimator.clip_bound, estimator.clip_bound)
-    return values
+    return gram(estimator.kernel, points, estimator.X) @ estimator.coefficients
 
 
 def predict(estimator: KRREstimator, x) -> float:

@@ -204,8 +204,10 @@ def factor_system(gram: np.ndarray, ridge: float, name: str = "matrix") -> Chole
 def nonnegative(value: float, what: str) -> float:
     """Clamp a nonnegative-in-exact-arithmetic ``value`` at 0.
 
-    Below -1e-10 it signals a bug rather than roundoff, and raises.
+    A value that is not finite, or below -1e-10, is not roundoff, and raises.
     """
+    if not np.isfinite(value):
+        raise NumericalError(f"{what} evaluated to {value}")
     if value < -1e-10:
         raise NumericalError(f"{what} evaluated to {value:.3e} < -1e-10")
     return max(value, 0.0)

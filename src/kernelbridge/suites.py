@@ -274,7 +274,7 @@ def _shrinkage_bayes(key: tuple):
     empirical_mean = embeddings.mean_embed(
         kernel, embeddings.DiscreteMeasure.uniform(X)
     ).at(X)
-    through_bayes, _ = embeddings.bayes_kmean_posterior(power_gram, empirical_mean, n * lam)
+    through_bayes = embeddings.bayes_kmean_posterior(power_gram, empirical_mean, n * lam)
     worst = int(np.argmax(np.abs(direct - through_bayes)))
     payload = {"kernel": repr(kernel), "X": X, "lam": lam}
     yield "", payload, float(direct[worst]), float(through_bayes[worst]), 1e-8

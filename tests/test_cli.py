@@ -450,6 +450,14 @@ def test_sample_draws_have_the_requested_shape_and_are_seeded(capsys, tmp_path):
     assert strip_wall_time(again) == strip_wall_time(out)
 
 
+def test_sample_accepts_a_length_scale_whose_square_overflows(capsys, tmp_path):
+    points = write_csv(tmp_path / "pts.csv", "x1", [(0.0,), (1.0,)])
+    args = ("sample", "--kernel", "se:gamma=1e300", "--points", points)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    assert np.all(np.isfinite(json.loads(out)["draws"]))
+
+
 def test_a_utf8_byte_order_mark_before_the_header_is_accepted(capsys, tmp_path):
     plain = write_csv(tmp_path / "plain.csv", "x1", [(0.0,), (0.5,), (1.0,)])
     marked = tmp_path / "marked.csv"

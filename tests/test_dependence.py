@@ -17,6 +17,7 @@ from kernelbridge.kernels import (
     BrownianDistance,
     KroneckerDelta,
     Matern,
+    Polynomial,
     Scaled,
     SquaredExponential,
 )
@@ -130,6 +131,16 @@ def test_negative_statistics_raise_unless_they_are_roundoff(monkeypatch, statist
         statistic(kx, ky, sample)
     grams[kx] = -1e-14 * np.eye(4)
     assert statistic(kx, ky, sample) == 0.0
+
+
+@pytest.mark.parametrize("statistic", [hsic_empirical, hsic_gp_exact])
+def test_a_statistic_that_is_not_finite_raises(statistic):
+    # (x y)^3 overflows at these atoms, and centering turns inf into nan.
+    k = Polynomial(degree=3)
+    sample = PairedSample([[1e120], [2e120]], [[1e120], [2e120]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^dependence statistic evaluated to nan$"):
+            statistic(k, k, sample)
 
 
 def test_paired_samples_validate_their_shapes():

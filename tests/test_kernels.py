@@ -1,4 +1,4 @@
-"""Kernel families: closed forms, Gram assembly, spectral densities, text form,
+"""Kernel families: closed forms, Gram assembly, text form,
 and the shared coercers of per-point values and sample counts."""
 
 import math
@@ -33,7 +33,6 @@ from kernelbridge.kernels import (
     format_kernel,
     gram,
     parse_kernel,
-    spectral_density,
 )
 from kernelbridge.quadrature import bq_posterior, kq_weights
 from kernelbridge.spectral import kl_sample, nystrom_eigensystem
@@ -303,6 +302,22 @@ def test_brownian_grams_are_exact_where_squares_overflow_or_underflow():
     )
 
 
+@pytest.mark.parametrize(
+    "gamma,expected",
+    [(1e-300, [[1.0, 0.0], [0.0, 1.0]]), (1e300, [[1.0, 1.0], [1.0, 1.0]])],
+)
+@pytest.mark.parametrize("d", [1, 2])
+def test_squared_exponential_grams_are_exact_where_gamma_squared_leaves_the_float_range(
+    gamma, expected, d
+):
+    # gamma**2 underflows to 0 (0/0 on the diagonal) or overflows.
+    X = np.zeros((2, d))
+    X[1, 0] = 1.0
+    np.testing.assert_array_equal(
+        gram(SquaredExponential(gamma=gamma), X, X), expected, strict=True
+    )
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("shift", [-1000, -600, 600, 1000])
 def test_brownian_grams_scale_exactly_by_powers_of_two(d, shift):
@@ -371,61 +386,6 @@ def test_large_order_matern_approaches_the_squared_exponential():
     # the gap is genuinely small but nonzero; the frozen reference run put
     # it near 4.6e-3
     assert worst == pytest.approx(4.6e-3, abs=2e-3)
-
-
-# ----------------------------------------------------------------------
-# spectral densities
-# ----------------------------------------------------------------------
-
-
-def test_se_spectral_density_at_zero_frequency():
-    assert spectral_density(SquaredExponential(gamma=1.0), [0.0]) == pytest.approx(
-        math.sqrt(math.pi), rel=1e-14
-    )
-
-
-@pytest.mark.parametrize(
-    "alpha,frozen", [(0.5, 2.0), (2.5, 2.385139175999775)]
-)
-def test_matern_spectral_density_at_zero_frequency(alpha, frozen):
-    value = spectral_density(Matern(alpha=alpha, h=1.0), [0.0])
-    assert value == pytest.approx(frozen, rel=1e-12)
-
-
-def test_matern_spectral_density_ratio_eliminates_the_constant():
-    kernel = Matern(alpha=1.5, h=0.8)
-    w1, w2 = np.array([0.3, -0.2]), np.array([1.1, 0.4])
-    ratio = spectral_density(kernel, w1) / spectral_density(kernel, w2)
-    a, h, d = 1.5, 0.8, 2
-    base = 2.0 * a / h**2
-    expected = (
-        (base + 4.0 * math.pi**2 * float(w2 @ w2))
-        / (base + 4.0 * math.pi**2 * float(w1 @ w1))
-    ) ** (a + d / 2.0)
-    assert ratio == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "kernel", [SquaredExponential(gamma=0.9), Matern(alpha=2.5, h=0.6)]
-)
-def test_spectral_density_is_even_positive_and_radially_decreasing(kernel):
-    direction = np.array([0.6, 0.8])
-    values = []
-    for radius in (0.0, 0.3, 0.9, 2.0, 5.0):
-        omega = radius * direction
-        value = spectral_density(kernel, omega)
-        assert value > 0.0
-        assert value == spectral_density(kernel, -omega)
-        values.append(value)
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-@pytest.mark.parametrize(
-    "kernel", [Polynomial(degree=2, c=1.0), BrownianDistance(), KroneckerDelta()]
-)
-def test_spectral_density_rejects_non_stationary_families(kernel):
-    with pytest.raises(UnsupportedOperationError):
-        spectral_density(kernel, [0.0])
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Regularized and interpolating kernel regression, norms, clipping."""
+"""Regularized and interpolating kernel regression and norms."""
 
 import math
 
@@ -23,7 +23,6 @@ from kernelbridge.krr import (
     predict,
     predict_at,
     rkhs_norm,
-    with_clip,
 )
 
 KERNELS = [
@@ -196,30 +195,3 @@ def test_the_interpolant_equals_the_noise_free_posterior_mean():
         assert predict(estimator, q) == pytest.approx(
             posterior_mean(post, q), abs=1e-8
         )
-
-
-# ----------------------------------------------------------------------
-# clipping
-# ----------------------------------------------------------------------
-
-
-def test_clipping_caps_predictions_without_touching_coefficients():
-    data = Dataset(np.array([[0.0], [1.0]]), np.array([5.0, -5.0]))
-    estimator = fit_interpolant(SquaredExponential(gamma=0.5), data)
-    clipped = with_clip(estimator, 1.0)
-    np.testing.assert_array_equal(clipped.coefficients, estimator.coefficients)
-    assert predict(clipped, np.array([0.0])) == 1.0
-    assert predict(clipped, np.array([1.0])) == -1.0
-    inner = predict(estimator, np.array([0.8]))
-    if abs(inner) <= 1.0:
-        assert predict(clipped, np.array([0.8])) == inner
-    values = predict_at(clipped, np.linspace(-1.0, 2.0, 50).reshape(-1, 1))
-    assert np.abs(values).max() <= 1.0
-
-
-@pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
-def test_clip_bounds_must_be_positive_and_finite(bound):
-    data = Dataset(np.array([[0.0]]), np.array([1.0]))
-    estimator = fit_krr(SquaredExponential(), data, 0.1)
-    with pytest.raises(InputError):
-        with_clip(estimator, bound)

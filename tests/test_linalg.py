@@ -206,6 +206,12 @@ def test_nonnegative_raises_below_the_roundoff_floor_and_clamps_above_it():
     assert nonnegative(0.25, "squared norm") == 0.25
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonnegative_raises_on_a_value_that_is_not_finite(value):
+    with pytest.raises(NumericalError, match="^squared norm evaluated to "):
+        nonnegative(value, "squared norm")
+
+
 def test_only_linalg_factors_gates_or_solves():
     # Every other module reaches these through factor_system and Cholesky.
     forbidden = ("np.linalg.cholesky", "np.linalg.solve", "require_invertible(", "solve_cholesky")

@@ -4,11 +4,12 @@ import hashlib
 import inspect
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from kernelbridge import embeddings, suites
+from kernelbridge import embeddings, linalg, suites
 from kernelbridge.errors import InputError
-from kernelbridge.linalg import factor_system
+from kernelbridge.linalg import factor_system, solve_cholesky
 from kernelbridge.reporting import stable_digest
 from kernelbridge.suites import SUITE_NAMES, run_suite
 
@@ -103,6 +104,19 @@ def test_shrinkage_bayes_factors_once_per_side_and_trial(monkeypatch):
     run_suite("shrinkage-bayes", seed=0, trials=5)
     # skme factors K_XX once; the Bayes side factors K_theta once for all n points.
     assert factored == ["K_XX", "K_theta"] * 5
+
+
+def test_shrinkage_bayes_solves_one_column_per_side_and_trial(monkeypatch):
+    columns = []
+
+    def counting_solve_cholesky(factor, rhs):
+        columns.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+        return solve_cholesky(factor, rhs)
+
+    monkeypatch.setattr(linalg, "solve_cholesky", counting_solve_cholesky)
+    run_suite("shrinkage-bayes", seed=0, trials=5)
+    # One weight solve per side and trial; the Bayes side computes no variances.
+    assert columns == [1, 1] * 5
 
 
 def test_the_combined_run_concatenates_in_declaration_order():
