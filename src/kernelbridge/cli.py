@@ -204,7 +204,7 @@ def _cmd_regress(args):
     }
     if args.mode != "gp":
         body["lambda"] = args.lam
-        predictions = krr.predict_at(krr.fit_krr(kernel, data, args.lam), queries)
+        predictions = krr.fit_krr(kernel, data, args.lam).at(queries)
     if args.mode != "krr":
         body["sigma2"] = sigma2
         post = gp.condition(gp.GPPrior(kernel), data, sigma2)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import Kernel, RepresenterFunction, as_point, as_points, as_values, gram
-from .linalg import factor_system, nonnegative, sample_gaussian
+from .linalg import factor_system, sample_gaussian
 
 __all__ = [
     "DiscreteMeasure",
@@ -105,11 +105,7 @@ def _signed_union(P: DiscreteMeasure, Q: DiscreteMeasure):
 def mmd(kernel: Kernel, P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     """Maximum mean discrepancy ``|| mu_P - mu_Q ||`` (the norm, not its
     square)."""
-    atoms, coeffs = _signed_union(P, Q)
-    if atoms.shape[0] == 0:
-        return 0.0
-    K = gram(kernel, atoms, atoms)
-    return math.sqrt(nonnegative(float(coeffs @ K @ coeffs), "squared MMD"))
+    return RepresenterFunction(kernel, *_signed_union(P, Q)).norm()
 
 
 @dataclass(frozen=True)

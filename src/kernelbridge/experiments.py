@@ -15,8 +15,9 @@ so :func:`kernelbridge.statespace.krr_coefficients` gets the ridge
 coefficients of all replications of one size from one Kalman filter and
 backward pass, without an n x n Gram matrix or its factorization. The
 coefficients are the ones :func:`kernelbridge.krr.fit_krr` solves for
-densely, to roundoff; predictions still go through
-:func:`kernelbridge.krr.predict_at`.
+densely, to roundoff, and each fit is evaluated on the error grid as the
+:class:`~kernelbridge.kernels.RepresenterFunction` that ``fit_krr`` would
+return.
 
 Targets are fixed representer combinations registered by name, which
 keeps their smoothness tied to the kernel family by construction and the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import krr, statespace
+from . import statespace
 from .errors import InputError, UnsupportedOperationError
 from .kernels import Kernel, Matern, RepresenterFunction
 
@@ -145,8 +146,8 @@ def rate_experiment(
         coefficients = statespace.krr_coefficients(kernel, X, Y, n * lam)
         trials = []
         for inputs, alpha in zip(X, coefficients):
-            estimator = krr.KRREstimator(kernel, inputs, alpha, lam)
-            residual = krr.predict_at(estimator, grid) - target_on_grid
+            fit = RepresenterFunction(kernel, inputs, alpha)
+            residual = fit.at(grid) - target_on_grid
             trials.append(float(_trapezoid(residual * residual, grid)))
         mean_errors.append(float(np.mean(trials)))
     slope = float(np.polyfit(np.log(sizes), np.log(mean_errors), 1)[0])

@@ -34,7 +34,6 @@ __all__ = [
     "posterior_cov",
     "posterior_cov_raw",
     "posterior_mean_at",
-    "posterior_variance_at",
 ]
 
 
@@ -177,18 +176,3 @@ def posterior_cov(post: GPPosterior, x, y) -> float:
     if xv.shape == yv.shape and np.all(xv == yv):
         return max(value, 0.0)
     return value
-
-
-def posterior_variance_at(post: GPPosterior, points, clamp: bool = True) -> np.ndarray:
-    """Posterior variance at every row of a point set.
-
-    Clamps small negative roundoff at zero unless ``clamp`` is False.
-    """
-    P = as_points(points)
-    prior_diag = np.array([kernel_value(post.prior.kernel, row, row) for row in P])
-    if post.X.shape[0] == 0:
-        out = prior_diag
-    else:
-        V = _solve_lower(post.cholesky.factor, _cross(post, P).T)
-        out = prior_diag - np.einsum("ij,ij->j", V, V)
-    return np.maximum(out, 0.0) if clamp else out

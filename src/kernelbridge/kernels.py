@@ -60,8 +60,9 @@ the plain expression gives. There are four exceptions:
 - BrownianDistance in ``d >= 2`` scales the coordinates, and then the
   result, by a power of two where the squares would overflow or underflow.
   Rows below about ``1e-154`` times the largest coordinate still underflow.
-- SquaredExponential, where ``gamma**2`` would underflow (``0/0`` on the
-  diagonal) or overflow, divides the distances by ``gamma`` and squares them.
+- SquaredExponential, where ``gamma**2`` or the squared coordinates would
+  underflow or overflow, scales the coordinates by a power of two (in any
+  ``d``), then divides the distances by ``gamma`` and squares them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedOperationError
+from .linalg import nonnegative
 
 __all__ = [
     "Kernel",
@@ -102,8 +104,8 @@ _MATERN_ORDERS = (0.5, 1.5, 2.5)
 # tails from forming inf * 0 = nan once t (or t^2) overflows.
 _MATERN_T_CAP = 750.0
 # While the binary exponent of the largest coordinate is at most this in size,
-# Brownian squares in d >= 2 neither overflow nor leave the normal range.
-_BROWNIAN_SAFE_EXPONENT = 500
+# squared coordinates neither overflow nor leave the normal range.
+_SAFE_EXPONENT = 500
 # The length scales whose square is a normal float; see the module docstring.
 _SE_NORMAL_GAMMA = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
@@ -191,6 +193,16 @@ def _pairwise_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _power_of_two_scaled(A: np.ndarray, B: np.ndarray):
+    """``(A 2^-e, B 2^-e, e)``, exact, with ``e`` nonzero only where squares
+    would leave the normal range; it brings the largest coordinate to [0.5, 1)."""
+    largest = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
+    e = int(np.frexp(largest)[1])
+    if abs(e) <= _SAFE_EXPONENT:
+        return A, B, 0
+    return np.ldexp(A, -e), np.ldexp(B, -e), e
+
+
 def _require_param(condition: bool, message: str) -> None:
     if not condition:
         raise InputError(message)
@@ -222,14 +234,19 @@ class SquaredExponential(Kernel):
         )
 
     def _gram(self, A, B):
-        if _SE_NORMAL_GAMMA[0] <= self.gamma <= _SE_NORMAL_GAMMA[1]:
+        A, B, e = _power_of_two_scaled(A, B)
+        if not e and _SE_NORMAL_GAMMA[0] <= self.gamma <= _SE_NORMAL_GAMMA[1]:
             out = _pairwise_sqdist(A, B)
             np.negative(out, out=out)
             out /= self.gamma**2
             return np.exp(out, out=out)
+        # r / gamma = (r 2^-e / m) 2^(e - f), with gamma = m 2^f and m in
+        # [0.5, 1): only the last step can leave the normal range.
+        m, f = math.frexp(self.gamma)
         out = _pairwise_dist(A, B)
+        out /= m
         with np.errstate(over="ignore"):
-            out /= self.gamma
+            np.ldexp(out, e - f, out=out)
             np.square(out, out=out)
         return np.exp(np.negative(out, out=out), out=out)
 
@@ -352,13 +369,9 @@ class BrownianDistance(Kernel):
         if A.shape[1] == 1:
             na, nb = np.abs(A[:, 0]), np.abs(B[:, 0])
         else:
-            # Where the squares would leave the normal range, scale by 2^-e
-            # and back by 2^e: exact, as the kernel is homogeneous of degree 1.
-            largest = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
-            exponent = int(np.frexp(largest)[1])
-            if abs(exponent) > _BROWNIAN_SAFE_EXPONENT:
-                e = exponent
-                A, B = np.ldexp(A, -e), np.ldexp(B, -e)
+            # Scaled by 2^-e here and back by 2^e below: exact, as the kernel
+            # is homogeneous of degree 1.
+            A, B, e = _power_of_two_scaled(A, B)
             na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
         r = _pairwise_dist(A, B)
         out = np.subtract(np.add.outer(na, nb), r, out=r)
@@ -497,10 +510,11 @@ class RepresenterFunction:
         return gram(self.kernel, P, self.centers) @ self.coefficients
 
     def norm(self) -> float:
-        """RKHS norm ``sqrt(c^T K_ZZ c)`` (clamped at zero)."""
+        """RKHS norm ``sqrt(c^T K_ZZ c)``; the square is clamped at 0, or
+        raises, by the rule of :func:`~kernelbridge.linalg.nonnegative`."""
         K = gram(self.kernel, self.centers, self.centers)
         value = float(self.coefficients @ K @ self.coefficients)
-        return math.sqrt(max(value, 0.0))
+        return math.sqrt(nonnegative(value, "squared RKHS norm"))
 
 
 # --- flat text form -------------------------------------------------------

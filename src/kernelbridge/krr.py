@@ -1,8 +1,10 @@
 """Kernel ridge regression and minimum-norm interpolation.
 
-``fit_krr`` solves ``(K_XX + n lambda I) alpha = Y`` and predicts with
-``f(x) = sum_i alpha_i k(x, x_i)``; ``fit_interpolant`` is the ``lambda = 0``
-limit, defined only when the Gram matrix is numerically invertible. The two
+``fit_krr`` solves ``(K_XX + n lambda I) alpha = Y``; ``fit_interpolant`` is
+the ``lambda = 0`` limit, defined only when the Gram matrix is numerically
+invertible. Both return the RKHS element ``f = sum_i alpha_i k(., x_i)``
+itself, a :class:`~kernelbridge.kernels.RepresenterFunction`: ``f(x)``,
+``f.at(points)`` and ``f.norm()`` evaluate it and take its norm. The two
 sit on the frequentist side of the GP correspondence: with
 ``noise = n * lambda`` the KRR prediction coincides with the GP posterior
 mean, which the verification suites check to 1e-8.
@@ -10,35 +12,16 @@ mean, which the verification suites check to 1e-8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
-from .kernels import Dataset, Kernel, RepresenterFunction, as_point, gram
+from .kernels import Dataset, Kernel, RepresenterFunction, gram
 from .linalg import factor_system
 
-__all__ = [
-    "KRREstimator",
-    "fit_krr",
-    "fit_interpolant",
-    "predict",
-    "predict_at",
-    "rkhs_norm",
-]
+__all__ = ["fit_krr", "fit_interpolant"]
 
 
-@dataclass(frozen=True, eq=False)
-class KRREstimator:
-    """A fitted kernel ridge regressor / interpolant."""
-
-    kernel: Kernel
-    X: np.ndarray
-    coefficients: np.ndarray
-    regularization: float
-
-
-def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> KRREstimator:
+def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> RepresenterFunction:
     """Fit kernel ridge regression with regularization ``lam > 0``.
 
     The system ``K_XX + n lam I`` is strictly positive definite, so this
@@ -47,52 +30,24 @@ def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> KRREstimator:
     """
     if not np.isfinite(lam) or lam <= 0:
         raise InputError("regularization lambda must be positive and finite")
-    if data.n < 1:
-        raise InputError("fitting requires at least one observation")
-    if data.Y is None:
-        raise InputError("fitting requires a dataset with outputs")
-    K = gram(kernel, data.X, data.X)
-    alpha = factor_system(K, data.n * lam, name="K_XX").solve(data.Y)
-    return KRREstimator(
-        kernel=kernel,
-        X=data.X,
-        coefficients=alpha,
-        regularization=float(lam),
-    )
+    return _fit(kernel, data, data.n * lam, "fitting")
 
 
-def fit_interpolant(kernel: Kernel, data: Dataset) -> KRREstimator:
+def fit_interpolant(kernel: Kernel, data: Dataset) -> RepresenterFunction:
     """Fit the minimum-RKHS-norm interpolant of the data.
 
     Requires a numerically invertible Gram matrix; duplicated inputs raise
     :class:`~kernelbridge.errors.NumericalError`.
     """
+    return _fit(kernel, data, 0.0, "interpolation")
+
+
+def _fit(kernel: Kernel, data: Dataset, ridge: float, what: str):
+    """Solve ``(K_XX + ridge I) alpha = Y``; a ridge of 0.0 is gated."""
     if data.n < 1:
-        raise InputError("interpolation requires at least one observation")
+        raise InputError(f"{what} requires at least one observation")
     if data.Y is None:
-        raise InputError("interpolation requires a dataset with outputs")
+        raise InputError(f"{what} requires a dataset with outputs")
     K = gram(kernel, data.X, data.X)
-    alpha = factor_system(K, 0.0, name="K_XX").solve(data.Y)
-    return KRREstimator(
-        kernel=kernel,
-        X=data.X,
-        coefficients=alpha,
-        regularization=0.0,
-    )
-
-
-def predict_at(estimator: KRREstimator, points) -> np.ndarray:
-    """Predict at every row of a point set."""
-    return gram(estimator.kernel, points, estimator.X) @ estimator.coefficients
-
-
-def predict(estimator: KRREstimator, x) -> float:
-    """Predict at a single point."""
-    return float(predict_at(estimator, as_point(x)[None, :])[0])
-
-
-def rkhs_norm(estimator: KRREstimator) -> float:
-    """RKHS norm of the fitted function, ``sqrt(alpha^T K_XX alpha)``."""
-    return RepresenterFunction(
-        estimator.kernel, estimator.X, estimator.coefficients
-    ).norm()
+    alpha = factor_system(K, ridge, name="K_XX").solve(data.Y)
+    return RepresenterFunction(kernel, data.X, alpha)

@@ -72,6 +72,14 @@ def shift_diagonal(matrix: np.ndarray, value: float) -> np.ndarray:
     return out
 
 
+def _require_finite(matrix: np.ndarray, name: str) -> None:
+    """Raise unless every entry is finite; a finite sum proves it without a mask."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = matrix.sum()
+    if not np.isfinite(total) and not np.isfinite(matrix).all():
+        raise NumericalError(f"{name} has a non-finite entry")
+
+
 def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     """Lower Cholesky factor of a PSD matrix, with escalating diagonal jitter.
 
@@ -85,6 +93,7 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     (possibly jittered) input, and the amount actually added to the diagonal.
     """
     a = np.asarray(matrix, dtype=float)
+    _require_finite(a, name)
     n = a.shape[0]
     if n == 0:
         return Cholesky(np.zeros((0, 0)), 0.0)
@@ -175,6 +184,7 @@ def require_invertible(matrix: np.ndarray, name: str = "matrix") -> None:
     inputs) fails here no matter how much jitter would let a Cholesky
     succeed.
     """
+    _require_finite(np.asarray(matrix, dtype=float), name)
     lam_min, lam_max, cond = spd_stats(matrix)
     if not np.isfinite(cond) or lam_min <= 0.0:
         raise NumericalError(f"{name} is singular (smallest eigenvalue {lam_min:.3e})")

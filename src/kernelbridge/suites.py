@@ -177,7 +177,7 @@ def _gp_krr(key: tuple):
     data = Dataset(X, Y)
     post = gp.condition(gp.GPPrior(kernel), data, n * lam)
     gp_values = gp.posterior_mean_at(post, queries)
-    krr_values = krr.predict_at(krr.fit_krr(kernel, data, lam), queries)
+    krr_values = krr.fit_krr(kernel, data, lam).at(queries)
     worst = int(np.argmax(np.abs(gp_values - krr_values)))
     payload = {"kernel": repr(kernel), "X": X, "Y": Y, "lam": lam, "queries": queries}
     yield "", payload, float(gp_values[worst]), float(krr_values[worst]), 1e-8

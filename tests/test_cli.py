@@ -458,6 +458,34 @@ def test_sample_accepts_a_length_scale_whose_square_overflows(capsys, tmp_path):
     assert np.all(np.isfinite(json.loads(out)["draws"]))
 
 
+@pytest.mark.parametrize("command", ["sample", "regress", "quadrature"])
+def test_a_gram_matrix_that_is_not_finite_is_named(capsys, tmp_path, command):
+    # (x y)^3 overflows at these points, so every entry of K_XX is inf.
+    points = write_csv(tmp_path / "pts.csv", "x1", [(1e120,), (2e120,)])
+    args = {
+        "sample": ("--points", points),
+        "regress": (
+            "--data",
+            write_csv(tmp_path / "d.csv", "x1,y", [(1e120, 1.0), (2e120, 2.0)]),
+            "--mode",
+            "both",
+            "--lambda",
+            "0.1",
+        ),
+        "quadrature": (
+            "--nodes",
+            points,
+            "--target",
+            write_csv(tmp_path / "t.csv", "x1,w", [(1e120, 0.5), (2e120, 0.5)]),
+            "--lambda",
+            "0.1",
+        ),
+    }[command]
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, command, "--kernel", "poly:degree=3", *args)
+    assert (code, out, err) == (2, "", "error: K_XX has a non-finite entry\n")
+
+
 def test_a_utf8_byte_order_mark_before_the_header_is_accepted(capsys, tmp_path):
     plain = write_csv(tmp_path / "plain.csv", "x1", [(0.0,), (0.5,), (1.0,)])
     marked = tmp_path / "marked.csv"

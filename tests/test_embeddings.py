@@ -9,6 +9,7 @@ import pytest
 import _oracles as oracles
 from kernelbridge.embeddings import (
     DiscreteMeasure,
+    _signed_union,
     bayes_kmean_posterior,
     mean_embed,
     mmd,
@@ -19,6 +20,7 @@ from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.kernels import (
     Matern,
     Polynomial,
+    RepresenterFunction,
     SquaredExponential,
     eval as kernel_eval,
     gram,
@@ -150,12 +152,25 @@ def test_mmd_is_symmetric_and_satisfies_the_triangle_inequality():
     assert mmd(kernel, P, R) <= mmd(kernel, P, Q) + mmd(kernel, Q, R) + 1e-10
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_mmd_is_the_norm_of_the_signed_union(signed):
+    kernel = Matern(alpha=2.5, h=0.7)
+    P = random_measure(21, 7, d=2, signed=signed)
+    Q = random_measure(22, 5, d=2, signed=signed)
+    atoms, coeffs = _signed_union(P, Q)
+    expected = RepresenterFunction(kernel, atoms, coeffs).norm()
+    assert mmd(kernel, P, Q).hex() == expected.hex()
+    # ... which is the square root of the quadratic form on the union, bit for bit.
+    quadratic_form = float(coeffs @ gram(kernel, atoms, atoms) @ coeffs)
+    assert expected.hex() == math.sqrt(quadratic_form).hex()
+
+
 def test_an_mmd_that_is_not_finite_raises():
     # (x y)^3 overflows at these atoms, and the quadratic form turns inf into nan.
     P = DiscreteMeasure.uniform([[1e120]])
     Q = DiscreteMeasure.uniform([[2e120]])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="^squared MMD evaluated to nan$"):
+        with pytest.raises(NumericalError, match="^squared RKHS norm evaluated to nan$"):
             mmd(Polynomial(degree=3), P, Q)
 
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 import kernelbridge
-from kernelbridge import duality
+from kernelbridge import duality, gp, kernels, krr
 from kernelbridge.duality import worst_case_error
 from kernelbridge.embeddings import DiscreteMeasure
-from kernelbridge.errors import InputError, UnsupportedOperationError
+from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
 from kernelbridge.gp import GPPrior, sample_prior
 from kernelbridge.kernels import (
     BrownianDistance,
@@ -318,6 +318,25 @@ def test_squared_exponential_grams_are_exact_where_gamma_squared_leaves_the_floa
     )
 
 
+@pytest.mark.parametrize(
+    "gamma,X,off_diagonal",
+    [
+        # The squared distance 1e400 overflows, but r / gamma = 1e-100.
+        (1e300, [[0.0, 3.0], [1e200, 1.0]], 1.0),
+        # gamma**2 is a normal float, the squared distance 4e308 is not.
+        (1e154, [[0.0, 0.0], [2e154, 0.0]], math.exp(-4.0)),
+    ],
+)
+def test_squared_exponential_grams_are_exact_where_the_squared_distances_overflow(
+    gamma, X, off_diagonal
+):
+    np.testing.assert_array_equal(
+        gram(SquaredExponential(gamma=gamma), X, X),
+        [[1.0, off_diagonal], [off_diagonal, 1.0]],
+        strict=True,
+    )
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("shift", [-1000, -600, 600, 1000])
 def test_brownian_grams_scale_exactly_by_powers_of_two(d, shift):
@@ -427,6 +446,14 @@ def test_representer_function_matches_the_expansion_oracle():
     )
 
 
+def test_representer_function_norm_raises_on_a_negative_square(monkeypatch):
+    # A Gram matrix of -I makes c^T K c = -2, far below roundoff.
+    monkeypatch.setattr(kernels, "gram", lambda kernel, A, B: -np.eye(len(A)))
+    f = RepresenterFunction(SquaredExponential(), _TWO_POINTS, [1.0, 1.0])
+    with pytest.raises(NumericalError, match="^squared RKHS norm evaluated to"):
+        f.norm()
+
+
 def test_representer_function_rejects_ragged_coefficients():
     with pytest.raises(InputError):
         RepresenterFunction(SquaredExponential(), np.zeros((3, 1)), np.zeros(2))
@@ -524,6 +551,16 @@ def test_each_primitive_has_one_implementation():
     assert not hasattr(duality, "WeightVector")
     # Kernel values and Gram matrices are kernels.eval and kernels.gram, not methods.
     assert "__call__" not in vars(Kernel) and "gram" not in vars(Kernel)
+    # A ridge fit is a RepresenterFunction: krr defines no public estimator
+    # type, evaluator or norm of its own, only the two fits.
+    assert [
+        name
+        for name, value in vars(krr).items()
+        if getattr(value, "__module__", None) == krr.__name__
+        and not name.startswith("_")
+    ] == ["fit_krr", "fit_interpolant"]
+    # A posterior variance is posterior_cov (posterior_cov_raw unclamped) alone.
+    assert [name for name in vars(gp) if "variance" in name] == []
 
 
 # ----------------------------------------------------------------------

@@ -14,16 +14,11 @@ from kernelbridge.kernels import (
     Matern,
     Polynomial,
     SquaredExponential,
+    RepresenterFunction,
     eval as kernel_eval,
     gram,
 )
-from kernelbridge.krr import (
-    fit_interpolant,
-    fit_krr,
-    predict,
-    predict_at,
-    rkhs_norm,
-)
+from kernelbridge.krr import fit_interpolant, fit_krr
 
 KERNELS = [
     SquaredExponential(gamma=0.8),
@@ -51,20 +46,20 @@ def test_single_point_fit_divides_by_the_regularized_kernel_value():
     data = Dataset(np.array([[0.0]]), np.array([1.0]))
     estimator = fit_krr(SquaredExponential(gamma=1.0), data, lam=1.0)
     np.testing.assert_allclose(estimator.coefficients, [0.5], rtol=1e-14)
-    assert predict(estimator, np.array([0.0])) == pytest.approx(0.5, rel=1e-14)
+    assert estimator(np.array([0.0])) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_heavy_regularization_shrinks_the_fit_towards_zero():
     data = make_data(0, 10)
     estimator = fit_krr(SquaredExponential(gamma=0.8), data, lam=1e6)
-    values = predict_at(estimator, data.X)
+    values = estimator.at(data.X)
     assert np.abs(values).max() <= 1e-3
 
 
 def test_interpolant_reproduces_the_observations():
     data = make_data(1, 9)
     estimator = fit_interpolant(Matern(alpha=2.5, h=0.9), data)
-    np.testing.assert_allclose(predict_at(estimator, data.X), data.Y, atol=1e-8)
+    np.testing.assert_allclose(estimator.at(data.X), data.Y, atol=1e-8)
 
 
 def test_single_point_interpolant_norm_is_the_value_over_the_root_diagonal():
@@ -72,7 +67,7 @@ def test_single_point_interpolant_norm_is_the_value_over_the_root_diagonal():
     data = Dataset(np.array([[0.3]]), np.array([-2.0]))
     estimator = fit_interpolant(kernel, data)
     k00 = kernel_eval(kernel, 0.3, 0.3)
-    assert rkhs_norm(estimator) == pytest.approx(2.0 / math.sqrt(k00), rel=1e-12)
+    assert estimator.norm() == pytest.approx(2.0 / math.sqrt(k00), rel=1e-12)
 
 
 def test_interpolating_conflicting_duplicates_fails():
@@ -119,7 +114,7 @@ def test_interpolant_has_the_smallest_norm_among_interpolants():
     kernel = SquaredExponential(gamma=0.7)
     data = make_data(5, 6)
     estimator = fit_interpolant(kernel, data)
-    base = rkhs_norm(estimator) ** 2
+    base = estimator.norm() ** 2
 
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -133,23 +128,28 @@ def test_interpolant_has_the_smallest_norm_among_interpolants():
         assert competitor >= base - 1e-10
 
 
-def test_rkhs_norm_matches_the_quadratic_form_oracle():
+def test_the_norm_of_a_fit_matches_the_quadratic_form_oracle():
     kernel = Matern(alpha=0.5, h=0.8)
     data = make_data(7, 7)
     estimator = fit_krr(kernel, data, 0.02)
     by_oracle = oracles.expansion_norm_squared(
         kernel, data.X, estimator.coefficients
     )
-    assert rkhs_norm(estimator) == pytest.approx(math.sqrt(by_oracle), rel=1e-10)
+    assert estimator.norm() == pytest.approx(math.sqrt(by_oracle), rel=1e-10)
 
 
-def test_rkhs_norm_of_the_zero_expansion_is_zero():
-    from kernelbridge.krr import KRREstimator
+def test_the_norm_of_the_zero_expansion_is_zero():
+    zero = RepresenterFunction(SquaredExponential(), np.zeros((2, 1)), np.zeros(2))
+    assert zero.norm() == 0.0
 
-    estimator = KRREstimator(
-        SquaredExponential(), np.zeros((2, 1)), np.zeros(2), 0.1
-    )
-    assert rkhs_norm(estimator) == 0.0
+
+def test_a_fit_is_the_representer_function_of_its_coefficients():
+    kernel = Matern(alpha=1.5, h=0.6)
+    data = make_data(11, 9)
+    for fit in (fit_krr(kernel, data, 0.05), fit_interpolant(kernel, data)):
+        assert type(fit) is RepresenterFunction
+        assert fit.kernel is kernel
+        np.testing.assert_array_equal(fit.centers, data.X, strict=True)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_ridge_fit_equals_the_posterior_mean_with_matched_noise(kernel):
     post = condition(GPPrior(kernel), data, noise_variance=12 * lam)
     queries = rng.uniform(-1.0, 1.0, (20, 2))
     for q in queries:
-        assert predict(estimator, q) == pytest.approx(
+        assert estimator(q) == pytest.approx(
             posterior_mean(post, q), abs=1e-8
         )
 
@@ -179,7 +179,7 @@ def test_the_equivalence_survives_duplicated_inputs():
     estimator = fit_krr(SquaredExponential(), data, lam)
     post = condition(GPPrior(SquaredExponential()), data, noise_variance=3 * lam)
     for q in np.linspace(-0.5, 1.0, 7):
-        assert predict(estimator, np.array([q])) == pytest.approx(
+        assert estimator(np.array([q])) == pytest.approx(
             posterior_mean(post, np.array([q])), abs=1e-8
         )
 
@@ -192,6 +192,6 @@ def test_the_interpolant_equals_the_noise_free_posterior_mean():
     estimator = fit_interpolant(kernel, data)
     post = condition(GPPrior(kernel), data, noise_variance=0.0)
     for q in rng.uniform(0.1, 2.0, (10, 1)):
-        assert predict(estimator, q) == pytest.approx(
+        assert estimator(q) == pytest.approx(
             posterior_mean(post, q), abs=1e-8
         )
