@@ -11,10 +11,10 @@ whose square expands to ``k(x,x) - 2 w^T k_Xx + w^T K_XX w``. The
 explicit gap, so callers (and the CLI) can assert tolerances without
 re-deriving anything:
 
-- with the noise-free optimal weights ``K_XX^{-1} k_Xx`` the worst-case
-  error equals the posterior standard deviation;
-- with noise, the same statement holds after augmenting the kernel with a
-  white-noise component and comparing against ``sqrt(var + noise)``;
+- with the optimal weights ``(K_XX + noise I)^{-1} k_Xx``, the worst-case
+  error under the kernel augmented by a white-noise component of variance
+  ``noise`` equals ``sqrt(var + noise)``; at ``noise = 0`` that is the
+  posterior standard deviation;
 - for any ``f`` in the span of representers, the interpolation error at
   ``x`` is bounded by ``||f|| sqrt(var(x))``;
 - the noisy optimal weights minimize
@@ -50,8 +50,7 @@ __all__ = [
     "IdentityReport",
     "BoundReport",
     "ObjectiveReport",
-    "verify_noise_free_identity",
-    "verify_noisy_identity",
+    "verify_worst_case_identity",
     "verify_error_bound",
     "verify_weight_objective",
 ]
@@ -126,36 +125,23 @@ def _conditioned(kernel: Kernel, data: Dataset, noise_variance: float):
     return gp.condition(prior, data, noise_variance)
 
 
-def verify_noise_free_identity(kernel: Kernel, data: Dataset, x) -> IdentityReport:
-    """Check posterior sd == worst-case error at the optimal weights.
-
-    Both sides are computed independently: the left from the conditioned
-    GP, the right from the quadratic-form expansion with weights
-    ``K_XX^{-1} k_Xx``.
-    """
-    xv = as_point(x)
-    post = _conditioned(kernel, data, 0.0)
-    lhs = math.sqrt(gp.posterior_cov(post, xv, xv))
-    w = optimal_weights(kernel, data.X, xv, 0.0)
-    rhs = worst_case_error(kernel, data.X, w, xv)
-    return IdentityReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
-
-
-def verify_noisy_identity(
+def verify_worst_case_identity(
     kernel: Kernel, data: Dataset, noise_variance: float, x
 ) -> IdentityReport:
     """Check sqrt(posterior var + noise) == worst-case error under the
-    noise-augmented kernel.
+    noise-augmented kernel ``k + noise * delta``.
 
-    The augmented kernel is ``k`` plus a white-noise component of variance
-    ``noise_variance``; the identity requires the query to differ from
-    every node exactly (the white-noise component must not fire at ``x``),
-    so coincidence raises :class:`PreconditionError`.
+    Both sides are computed independently: the left from the conditioned
+    GP, the right from the quadratic-form expansion with the optimal weights
+    ``(K_XX + noise I)^{-1} k_Xx``. At ``noise_variance = 0`` this is the
+    noise-free identity, posterior sd == worst-case error. With noise the
+    query must differ from every node exactly (the white-noise component
+    must not fire at ``x``), so coincidence raises :class:`PreconditionError`.
     """
     xv = as_point(x)
-    if not np.isfinite(noise_variance) or noise_variance <= 0:
-        raise InputError("noise variance must be positive and finite")
-    if data.n > 0:
+    if not np.isfinite(noise_variance) or noise_variance < 0:
+        raise InputError("noise variance must be nonnegative and finite")
+    if noise_variance > 0 and data.n > 0:
         if xv.shape[0] != data.d:
             raise InputError(
                 f"query dimension {xv.shape[0]} does not match data dimension "

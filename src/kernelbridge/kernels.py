@@ -57,12 +57,15 @@ the plain expression gives. There are four exceptions:
 - Matern 5/2 caps its result at 1. For ``t`` near ``2e-8`` the roundings
   of ``1 + t + t^2/3`` and ``exp(-t)`` can land the product one ulp above
   ``k(x, x) = 1``; every value at or below 1 keeps its bits.
-- BrownianDistance in ``d >= 2`` scales the coordinates, and then the
-  result, by a power of two where the squares would overflow or underflow.
-  Rows below about ``1e-154`` times the largest coordinate still underflow.
+- BrownianDistance and Matern in ``d >= 2`` scale the coordinates by a
+  power of two where the squares would overflow or underflow, and then scale
+  back the result (Brownian) or the distances (Matern).
 - SquaredExponential, where ``gamma**2`` or the squared coordinates would
   underflow or overflow, scales the coordinates by a power of two (in any
   ``d``), then divides the distances by ``gamma`` and squares them.
+
+In all three, coordinate differences below about ``1e-154`` times the
+largest coordinate still lose their squares to underflow.
 """
 
 from __future__ import annotations
@@ -278,8 +281,15 @@ class Matern(Kernel):
     def _gram(self, A, B):
         # In place on the distance array and, for 3/2 and 5/2, on exp(-t),
         # with the operations of the closed forms in the module docstring,
-        # in the same order.
+        # in the same order. In d >= 2 the distance is taken on coordinates
+        # scaled by 2^-e and scaled back, exactly, as the Brownian kernel does.
+        e = 0
+        if A.shape[1] > 1:
+            A, B, e = _power_of_two_scaled(A, B)
         t = _pairwise_dist(A, B)
+        if e:
+            with np.errstate(over="ignore"):
+                np.ldexp(t, e, out=t)
         if self.alpha == 0.5:
             np.negative(t, out=t)
             t /= self.h
@@ -329,7 +339,9 @@ class Polynomial(Kernel):
     def _gram(self, A, B):
         out = A @ B.T
         out += self.c
-        out **= self.degree
+        # An overflow leaves inf, which linalg rejects with a named error.
+        with np.errstate(over="ignore"):
+            out **= self.degree
         return out
 
 

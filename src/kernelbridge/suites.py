@@ -189,10 +189,9 @@ def _posterior_variance(key: tuple):
     noise = float(10.0 ** rng.uniform(-2.0, 0.5))
     data = Dataset(X, Y)
     payload = {"kernel": repr(kernel), "X": X, "x": x, "noise": noise}
-    free = duality.verify_noise_free_identity(kernel, data, x)
-    yield "-noisefree", payload, free.lhs, free.rhs, 1e-8
-    noisy = duality.verify_noisy_identity(kernel, data, noise, x)
-    yield "-noisy", payload, noisy.lhs, noisy.rhs, 1e-8
+    for suffix, noise_variance in (("-noisefree", 0.0), ("-noisy", noise)):
+        report = duality.verify_worst_case_identity(kernel, data, noise_variance, x)
+        yield suffix, payload, report.lhs, report.rhs, 1e-8
 
 
 def _mmd_average_case(key: tuple):

@@ -289,6 +289,43 @@ def test_both_mode_reports_a_tiny_discrepancy(capsys, dataset_csv):
     assert len(payload["predictions"]) == 5
 
 
+def _regress(capsys, data, mode, *args):
+    kernel = "matern:alpha=1.5,h=0.4"
+    return run_cli(
+        capsys, "regress", "--data", data, "--kernel", kernel, "--mode", mode, *args
+    )
+
+
+def test_lambda_zero_is_the_noise_free_case_of_both_mode(capsys, dataset_csv):
+    code, out, err = _regress(capsys, dataset_csv, "both", "--lambda", "0")
+    assert code == 0, err
+    both = json.loads(out)
+    assert both["sigma2"] == 0.0 and both["discrepancy"] <= 1e-8
+    code, out, err = _regress(capsys, dataset_csv, "gp", "--sigma2", "0")
+    assert code == 0, err
+    assert both["predictions"] == json.loads(out)["predictions"]
+
+
+def test_ridge_mode_at_lambda_zero_interpolates(capsys, dataset_csv):
+    code, out, err = _regress(capsys, dataset_csv, "krr", "--lambda", "0")
+    assert code == 0, err
+    np.testing.assert_allclose(
+        json.loads(out)["predictions"], [0.1, 0.7, 1.0, 0.6, 0.2], rtol=0, atol=1e-8
+    )
+
+
+def test_every_mode_gates_the_noise_free_system_alike(capsys, tmp_path):
+    rows = [(0.2, 1.0), (0.2, 0.0), (0.7, -1.0)]
+    data = write_csv(tmp_path / "dup.csv", "x1,y", rows)
+    errors = set()
+    for mode, noise in [("krr", "--lambda"), ("both", "--lambda"), ("gp", "--sigma2")]:
+        code, out, err = _regress(capsys, data, mode, noise, "0")
+        assert (code, out) == (2, "")
+        errors.add(err)
+    [message] = errors
+    assert message.startswith("error: K_XX is ") and "singular" in message
+
+
 def test_single_point_ridge_prediction_matches_the_scalar_solve(capsys, tmp_path):
     data = write_csv(tmp_path / "one.csv", "x1,y", [(0.0, 2.0)])
     code, out, _ = run_cli(
@@ -481,8 +518,7 @@ def test_a_gram_matrix_that_is_not_finite_is_named(capsys, tmp_path, command):
             "0.1",
         ),
     }[command]
-    with np.errstate(over="ignore"):
-        code, out, err = run_cli(capsys, command, "--kernel", "poly:degree=3", *args)
+    code, out, err = run_cli(capsys, command, "--kernel", "poly:degree=3", *args)
     assert (code, out, err) == (2, "", "error: K_XX has a non-finite entry\n")
 
 

@@ -9,9 +9,8 @@ import _oracles as oracles
 from kernelbridge.duality import (
     optimal_weights,
     verify_error_bound,
-    verify_noise_free_identity,
-    verify_noisy_identity,
     verify_weight_objective,
+    verify_worst_case_identity,
     worst_case_error,
 )
 from kernelbridge.errors import InputError, PreconditionError
@@ -124,7 +123,7 @@ def test_weight_count_must_match_the_node_count():
 def test_noise_free_identity_collapses_at_a_node():
     kernel = SquaredExponential()
     data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 0.0]))
-    report = verify_noise_free_identity(kernel, data, np.array([1.0]))
+    report = verify_worst_case_identity(kernel, data, 0.0, np.array([1.0]))
     assert report.lhs == pytest.approx(0.0, abs=1e-7)
     assert report.rhs == pytest.approx(0.0, abs=1e-7)
 
@@ -133,7 +132,7 @@ def test_noise_free_identity_single_node_closed_form():
     # with one node at 0 and k(0,1) = e^{-1}, both sides are sqrt(1 - e^{-2})
     kernel = SquaredExponential(gamma=1.0)
     data = Dataset(np.array([[0.0]]), np.array([0.0]))
-    report = verify_noise_free_identity(kernel, data, np.array([1.0]))
+    report = verify_worst_case_identity(kernel, data, 0.0, np.array([1.0]))
     expected = math.sqrt(1.0 - math.exp(-2.0))
     assert report.lhs == pytest.approx(expected, rel=1e-10)
     assert report.gap <= 1e-10
@@ -146,7 +145,7 @@ def test_noise_free_identity_holds_for_random_instances(kernel):
         X = rng.uniform(-1.0, 1.0, (5, 2))
         data = Dataset(X, rng.normal(size=5))
         x = rng.uniform(-1.0, 1.0, 2)
-        report = verify_noise_free_identity(kernel, data, x)
+        report = verify_worst_case_identity(kernel, data, 0.0, x)
         assert report.gap <= 1e-8
         assert report.gap == abs(report.lhs - report.rhs)
 
@@ -158,7 +157,7 @@ def test_noisy_identity_holds_for_random_instances(kernel):
         X = rng.uniform(-1.0, 1.0, (6, 1))
         data = Dataset(X, rng.normal(size=6))
         x = rng.uniform(1.001, 1.4, 1)
-        report = verify_noisy_identity(kernel, data, 0.3, x)
+        report = verify_worst_case_identity(kernel, data, 0.3, x)
         assert report.gap <= 1e-8
 
 
@@ -168,8 +167,8 @@ def test_noisy_identity_approaches_the_noise_free_one_as_noise_vanishes():
     X = rng.uniform(-1.0, 1.0, (5, 1))
     data = Dataset(X, rng.normal(size=5))
     x = np.array([1.2])
-    noisy = verify_noisy_identity(kernel, data, 1e-10, x)
-    clean = verify_noise_free_identity(kernel, data, x)
+    noisy = verify_worst_case_identity(kernel, data, 1e-10, x)
+    clean = verify_worst_case_identity(kernel, data, 0.0, x)
     assert noisy.lhs == pytest.approx(clean.lhs, abs=1e-5)
 
 
@@ -178,13 +177,14 @@ def test_noisy_identity_refuses_a_query_at_a_node():
     X = np.array([[0.0], [0.7]])
     data = Dataset(X, np.array([1.0, -1.0]))
     with pytest.raises(PreconditionError):
-        verify_noisy_identity(kernel, data, 0.1, np.array([0.7]))
+        verify_worst_case_identity(kernel, data, 0.1, np.array([0.7]))
 
 
-def test_noisy_identity_requires_positive_noise():
+@pytest.mark.parametrize("noise", [-0.1, math.nan])
+def test_worst_case_identity_rejects_negative_or_nan_noise(noise):
     data = Dataset(np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(InputError):
-        verify_noisy_identity(SquaredExponential(), data, 0.0, np.array([1.0]))
+        verify_worst_case_identity(SquaredExponential(), data, noise, np.array([1.0]))
 
 
 # ----------------------------------------------------------------------

@@ -376,6 +376,31 @@ def test_matern_grams_stay_finite_and_bounded_across_the_float_range(alpha, d, d
     assert np.all((K >= 0.0) & (K <= 1.0))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    alpha=st.sampled_from((0.5, 1.5, 2.5)),
+    x=_WIDE_COORDINATE,
+    y=_WIDE_COORDINATE,
+    log_h=st.floats(-300.0, 300.0),
+)
+def test_matern_grams_off_the_line_match_the_line_bitwise(alpha, x, y, log_h):
+    # Points that differ in one coordinate only are at the d = 1 distance,
+    # which is exact, whatever the scale of the coordinates and of h.
+    kernel = Matern(alpha=alpha, h=10.0**log_h)
+    with np.errstate(over="ignore"):
+        on_line = gram(kernel, [[x]], [[y]])
+        in_plane = gram(kernel, [[x, 0.0]], [[y, 0.0]])
+        in_space = gram(kernel, [[0.0, x, 0.0]], [[0.0, y, 0.0]])
+    np.testing.assert_array_equal(in_plane, on_line, strict=True)
+    np.testing.assert_array_equal(in_space, on_line, strict=True)
+
+
+def test_polynomial_overflow_gives_inf_without_a_warning():
+    # linalg names the non-finite entry; numpy has nothing to add.
+    K = gram(Polynomial(degree=3), [[1e120]], [[1e120]])
+    np.testing.assert_array_equal(K, [[np.inf]], strict=True)
+
+
 def test_gram_rejects_mismatched_dimensions():
     with pytest.raises(InputError):
         gram(SquaredExponential(), np.zeros((3, 2)), np.zeros((3, 1)))
@@ -552,13 +577,18 @@ def test_each_primitive_has_one_implementation():
     # Kernel values and Gram matrices are kernels.eval and kernels.gram, not methods.
     assert "__call__" not in vars(Kernel) and "gram" not in vars(Kernel)
     # A ridge fit is a RepresenterFunction: krr defines no public estimator
-    # type, evaluator or norm of its own, only the two fits.
+    # type, evaluator or norm of its own, only fit_krr, whose lambda = 0 is
+    # the interpolant.
     assert [
         name
         for name, value in vars(krr).items()
         if getattr(value, "__module__", None) == krr.__name__
         and not name.startswith("_")
-    ] == ["fit_krr", "fit_interpolant"]
+    ] == ["fit_krr"]
+    # The noise-free worst-case-error identity is the general one at noise 0.
+    assert [name for name in vars(duality) if "identity" in name] == [
+        "verify_worst_case_identity"
+    ]
     # A posterior variance is posterior_cov (posterior_cov_raw unclamped) alone.
     assert [name for name in vars(gp) if "variance" in name] == []
 

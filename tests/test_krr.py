@@ -18,7 +18,7 @@ from kernelbridge.kernels import (
     eval as kernel_eval,
     gram,
 )
-from kernelbridge.krr import fit_interpolant, fit_krr
+from kernelbridge.krr import fit_krr
 
 KERNELS = [
     SquaredExponential(gamma=0.8),
@@ -58,14 +58,14 @@ def test_heavy_regularization_shrinks_the_fit_towards_zero():
 
 def test_interpolant_reproduces_the_observations():
     data = make_data(1, 9)
-    estimator = fit_interpolant(Matern(alpha=2.5, h=0.9), data)
+    estimator = fit_krr(Matern(alpha=2.5, h=0.9), data, 0.0)
     np.testing.assert_allclose(estimator.at(data.X), data.Y, atol=1e-8)
 
 
 def test_single_point_interpolant_norm_is_the_value_over_the_root_diagonal():
     kernel = Matern(alpha=1.5, h=0.4)
     data = Dataset(np.array([[0.3]]), np.array([-2.0]))
-    estimator = fit_interpolant(kernel, data)
+    estimator = fit_krr(kernel, data, 0.0)
     k00 = kernel_eval(kernel, 0.3, 0.3)
     assert estimator.norm() == pytest.approx(2.0 / math.sqrt(k00), rel=1e-12)
 
@@ -73,10 +73,10 @@ def test_single_point_interpolant_norm_is_the_value_over_the_root_diagonal():
 def test_interpolating_conflicting_duplicates_fails():
     data = Dataset(np.array([[0.0], [0.0]]), np.array([0.0, 1.0]))
     with pytest.raises(NumericalError):
-        fit_interpolant(SquaredExponential(), data)
+        fit_krr(SquaredExponential(), data, 0.0)
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0])
+@pytest.mark.parametrize("lam", [-1.0, math.nan])
 def test_nonpositive_regularization_is_rejected(lam):
     with pytest.raises(InputError):
         fit_krr(SquaredExponential(), make_data(2, 4), lam)
@@ -113,7 +113,7 @@ def test_interpolant_has_the_smallest_norm_among_interpolants():
     # fixed but can only grow the norm
     kernel = SquaredExponential(gamma=0.7)
     data = make_data(5, 6)
-    estimator = fit_interpolant(kernel, data)
+    estimator = fit_krr(kernel, data, 0.0)
     base = estimator.norm() ** 2
 
     rng = np.random.default_rng(6)
@@ -146,7 +146,7 @@ def test_the_norm_of_the_zero_expansion_is_zero():
 def test_a_fit_is_the_representer_function_of_its_coefficients():
     kernel = Matern(alpha=1.5, h=0.6)
     data = make_data(11, 9)
-    for fit in (fit_krr(kernel, data, 0.05), fit_interpolant(kernel, data)):
+    for fit in (fit_krr(kernel, data, 0.05), fit_krr(kernel, data, 0.0)):
         assert type(fit) is RepresenterFunction
         assert fit.kernel is kernel
         np.testing.assert_array_equal(fit.centers, data.X, strict=True)
@@ -189,7 +189,7 @@ def test_the_interpolant_equals_the_noise_free_posterior_mean():
     rng = np.random.default_rng(10)
     X = rng.uniform(0.1, 2.0, (6, 1))
     data = Dataset(X, rng.normal(size=6))
-    estimator = fit_interpolant(kernel, data)
+    estimator = fit_krr(kernel, data, 0.0)
     post = condition(GPPrior(kernel), data, noise_variance=0.0)
     for q in rng.uniform(0.1, 2.0, (10, 1)):
         assert estimator(q) == pytest.approx(
