@@ -178,7 +178,7 @@ def _cmd_regress(args):
     kernel = parse_kernel(args.kernel)
     data = _load_dataset(args.data)
     queries = _load_points(args.queries) if args.queries else data.X
-    if data.n > 0 and queries.shape[0] > 0 and queries.shape[1] != data.d:
+    if queries.shape[1] != data.d:
         raise InputError(
             f"queries have dimension {queries.shape[1]} but the data has "
             f"dimension {data.d}"

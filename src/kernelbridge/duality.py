@@ -104,12 +104,9 @@ def worst_case_error(kernel: Kernel, X, weights, x) -> float:
     xv = as_point(x)
     w = as_values(weights, nodes.shape[0], "weights", "nodes")
     k_xx = kernel_value(kernel, xv, xv)
-    if nodes.shape[0] == 0:
-        squared = k_xx
-    else:
-        k_x = gram(kernel, nodes, xv[None, :])[:, 0]
-        K = gram(kernel, nodes, nodes)
-        squared = k_xx - 2.0 * float(w @ k_x) + float(w @ K @ w)
+    k_x = gram(kernel, nodes, xv[None, :])[:, 0]
+    K = gram(kernel, nodes, nodes)
+    squared = k_xx - 2.0 * float(w @ k_x) + float(w @ K @ w)
     return math.sqrt(nonnegative(squared, "worst-case error squared"))
 
 
@@ -141,7 +138,7 @@ def verify_worst_case_identity(
     xv = as_point(x)
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
-    if noise_variance > 0 and data.n > 0:
+    if noise_variance > 0:
         if xv.shape[0] != data.d:
             raise InputError(
                 f"query dimension {xv.shape[0]} does not match data dimension "

@@ -147,15 +147,11 @@ def verify_average_case(
     mmd_squared = t_pp - 2.0 * t_pq + t_qq
 
     atoms, coeffs = _signed_union(P, Q)
-    if atoms.shape[0] == 0:
-        gp_variance = 0.0
-        samples = np.zeros(int(draws))
-    else:
-        K_union = gram(kernel, atoms, atoms)
-        gp_variance = float(coeffs @ K_union @ coeffs)
-        rng = np.random.default_rng(seed)
-        f_draws = sample_gaussian(rng, K_union, int(draws), K_union)
-        samples = (f_draws @ coeffs) ** 2
+    K_union = gram(kernel, atoms, atoms)
+    gp_variance = float(coeffs @ K_union @ coeffs)
+    rng = np.random.default_rng(seed)
+    f_draws = sample_gaussian(rng, K_union, int(draws), K_union)
+    samples = (f_draws @ coeffs) ** 2
     mc_estimate = float(samples.mean())
     mc_se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     return AverageCaseReport(

@@ -10,7 +10,8 @@ With zero noise, or noise lost to roundoff on every diagonal entry, the
 Gram matrix must pass the numerical invertibility gate of
 :func:`~kernelbridge.linalg.factor_system`: conditioning on duplicated
 inputs raises :class:`~kernelbridge.errors.NumericalError` instead of
-silently regularizing.
+silently regularizing. An empty dataset runs the same formulas at n = 0:
+the factor is 0 x 0, the sums are empty, and the posterior is the prior.
 """
 
 from __future__ import annotations
@@ -103,19 +104,11 @@ def condition(prior: GPPrior, data: Dataset, noise_variance: float) -> GPPosteri
 
     With ``noise_variance == 0``, or a noise variance that leaves every
     diagonal entry of ``K_XX`` unchanged, the Gram matrix must be
-    numerically invertible. An empty dataset returns a posterior that
-    reproduces the prior exactly.
+    numerically invertible. An empty dataset is the case n = 0: its
+    posterior reproduces the prior exactly.
     """
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
-    if data.n == 0:
-        return GPPosterior(
-            prior=prior,
-            X=np.zeros((0, max(data.d, 1))),
-            cholesky=Cholesky(np.zeros((0, 0)), 0.0),
-            residual_weights=np.zeros(0),
-            noise_variance=float(noise_variance),
-        )
     if data.Y is None:
         raise InputError("conditioning requires a dataset with outputs")
     K = gram(prior.kernel, data.X, data.X)
@@ -143,23 +136,21 @@ def posterior_mean(post: GPPosterior, x) -> float:
 def posterior_mean_at(post: GPPosterior, points) -> np.ndarray:
     """Posterior mean at every row of a point set."""
     P = as_points(points)
-    base = post.prior.mean_at(P)
-    if post.X.shape[0] == 0:
-        return base
-    return base + _cross(post, P) @ post.residual_weights
+    return post.prior.mean_at(P) + _cross(post, P) @ post.residual_weights
 
 
 def posterior_cov_raw(post: GPPosterior, x, y) -> float:
     """Posterior covariance without the diagonal clamp.
 
-    Exposed for diagnostics: a variance below roughly ``-1e-10`` signals a
-    bug rather than roundoff.
+    Exposed for diagnostics. A noise-free variance can fall below
+    ``-1e-10`` from roundoff alone: ``run_suite("posterior-variance",
+    1654615998, 200)`` reads down to ``-3.92e-10`` inside the query search
+    of ``suites._variance_query``. ROADMAP item 4 would report the smallest
+    such value.
     """
     xv = as_point(x)
     yv = as_point(y)
     k_xy = kernel_value(post.prior.kernel, xv, yv)
-    if post.X.shape[0] == 0:
-        return k_xy
     a = _solve_lower(post.cholesky.factor, _cross(post, xv[None, :]).T)[:, 0]
     if xv.tobytes() == yv.tobytes():
         # The same point: b would be a again, bit for bit.

@@ -28,12 +28,11 @@ def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> RepresenterFunction:
     For ``lam > 0`` the system ``K_XX + n lam I`` is strictly positive
     definite, so duplicate inputs are allowed. ``lam = 0`` gives the
     minimum-norm interpolant: the Gram matrix is gated first, and duplicated
-    inputs raise :class:`~kernelbridge.errors.NumericalError`.
+    inputs raise :class:`~kernelbridge.errors.NumericalError`. An empty
+    dataset gives the zero function, the expansion with no centers.
     """
     if not np.isfinite(lam) or lam < 0:
         raise InputError("regularization lambda must be nonnegative and finite")
-    if data.n < 1:
-        raise InputError("fitting requires at least one observation")
     if data.Y is None:
         raise InputError("fitting requires a dataset with outputs")
     K = gram(kernel, data.X, data.X)

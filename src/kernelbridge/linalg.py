@@ -12,7 +12,10 @@ separate, eigenvalue-based check.
 rule: a noise-free system (``ridge == 0.0``, or a ridge lost to roundoff on
 every diagonal entry) must pass :func:`require_invertible`; a ridged one is
 factored without the gate. The result, a :class:`Cholesky`, keeps the
-jitter next to the factor.
+jitter next to the factor. The 0 x 0 matrix, the system of an empty data
+set, passes the gate and factors to the 0 x 0 factor, so the GP, ridge,
+worst-case and quadrature callers run their general formulas at n = 0 with
+no branch of their own.
 
 Solves against a Cholesky factor are blocked triangular substitutions in
 plain numpy: O(n^2) work per right-hand side, rather than a pivoted LU of
@@ -94,14 +97,11 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     """
     a = np.asarray(matrix, dtype=float)
     _require_finite(a, name)
-    n = a.shape[0]
-    if n == 0:
-        return Cholesky(np.zeros((0, 0)), 0.0)
     try:
         return Cholesky(np.linalg.cholesky(a), 0.0)
     except np.linalg.LinAlgError:
         pass
-    base = float(np.trace(a)) / n
+    base = float(np.trace(a)) / a.shape[0]
     if not np.isfinite(base) or base <= 0.0:
         raise NumericalError(
             f"Cholesky factorization of {name} failed and its trace admits no "
@@ -162,11 +162,13 @@ def spd_stats(matrix: np.ndarray):
 
     Returns ``(lam_min_effective, lam_max, cond)`` where the effective
     smallest eigenvalue includes the baseline jitter ``1e-12 * trace/n``.
+    The 0 x 0 matrix gives ``(inf, 0.0, 1.0)``: the smallest of no
+    eigenvalues is +inf, so the gate accepts it.
     """
     a = symmetrize(np.asarray(matrix, dtype=float))
     n = a.shape[0]
     if n == 0:
-        return 0.0, 0.0, 1.0
+        return np.inf, 0.0, 1.0
     lam = np.linalg.eigvalsh(a)
     baseline = JITTER_INITIAL * float(np.trace(a)) / n
     lam_min = float(lam[0]) + max(baseline, 0.0)
@@ -204,7 +206,7 @@ def factor_system(gram: np.ndarray, ridge: float, name: str = "matrix") -> Chole
     like a ridge of 0.0, since the system it gives is ``gram`` itself.
     """
     diagonal = np.diagonal(gram)
-    if ridge == 0.0 or (diagonal.size and np.array_equal(diagonal + ridge, diagonal)):
+    if ridge == 0.0 or np.array_equal(diagonal + ridge, diagonal):
         require_invertible(gram, name=name)
         return cholesky_with_jitter(gram, name=name)
     system = shift_diagonal(gram, ridge)

@@ -64,12 +64,11 @@ def kq_weights(
     """Kernel-optimal quadrature weights for a discrete target measure.
 
     ``lam = 0`` requires a numerically invertible Gram matrix; ``lam > 0``
-    gives the regularized weights ``(K_XX + n lam I)^{-1} mu_X``.
+    gives the regularized weights ``(K_XX + n lam I)^{-1} mu_X``. No nodes
+    give the empty rule, whose posterior variance is ``integral k dP dP``.
     """
     P = as_points(nodes)
     n = P.shape[0]
-    if n == 0:
-        raise InputError("a quadrature rule needs at least one node")
     if not np.isfinite(lam) or lam < 0:
         raise InputError("regularization lambda must be nonnegative and finite")
     if P.shape[1] != target.atoms.shape[1]:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -367,6 +368,68 @@ def test_gp_mode_on_an_empty_dataset_predicts_the_prior_mean(capsys, tmp_path):
     assert json.loads(out)["predictions"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("mode", ["krr", "both"])
+@pytest.mark.parametrize("lam", ["0.1", "0"])
+def test_ridge_modes_on_an_empty_dataset_predict_zero(capsys, tmp_path, mode, lam):
+    data = write_csv(tmp_path / "empty.csv", "x1,y", [])
+    queries = write_csv(tmp_path / "q.csv", "x1", [(0.3,), (0.9,)])
+    code, out, err = run_cli(
+        capsys,
+        "regress",
+        "--data",
+        data,
+        "--kernel",
+        "se",
+        "--mode",
+        mode,
+        "--lambda",
+        lam,
+        "--queries",
+        queries,
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["n"] == 0
+    assert payload["predictions"] == [0.0, 0.0]
+    if mode == "both":
+        assert payload["sigma2"] == 0.0
+        assert payload["discrepancy"] == 0.0
+
+
+@pytest.mark.parametrize("rows", [[], [(0.3,)]])
+def test_gp_mode_without_outputs_is_rejected_at_every_n(capsys, tmp_path, rows):
+    data = write_csv(tmp_path / "x.csv", "x1", rows)
+    code, _, err = run_cli(
+        capsys, "regress", "--data", data, "--kernel", "se", "--mode", "gp",
+        "--sigma2", "0.1",
+    )
+    assert code == 2
+    assert err == "error: conditioning requires a dataset with outputs\n"
+
+
+def test_queries_of_another_dimension_are_rejected_on_an_empty_dataset(
+    capsys, tmp_path
+):
+    data = write_csv(tmp_path / "empty.csv", "x1,y", [])
+    queries = write_csv(tmp_path / "q.csv", "x1,x2", [(0.3, 0.1)])
+    code, _, err = run_cli(
+        capsys,
+        "regress",
+        "--data",
+        data,
+        "--kernel",
+        "se",
+        "--mode",
+        "gp",
+        "--sigma2",
+        "0.1",
+        "--queries",
+        queries,
+    )
+    assert code == 2
+    assert err == "error: queries have dimension 2 but the data has dimension 1\n"
+
+
 def test_both_mode_rejects_an_inconsistent_noise_override(capsys, dataset_csv):
     code, _, err = run_cli(
         capsys,
@@ -621,3 +684,30 @@ def test_quadrature_on_matching_nodes_recovers_uniform_weights(capsys, tmp_path)
     np.testing.assert_allclose(payload["weights"], [1.0 / 3.0] * 3, atol=1e-10)
     assert 0.0 <= payload["variance"] <= 1e-10
     assert payload["mean"] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_quadrature_with_no_nodes_reports_the_prior_variance(capsys, tmp_path):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("x1\n", encoding="utf-8")
+    target = write_csv(tmp_path / "target.csv", "x1,w", [(0.0, 0.25), (0.5, 0.75)])
+    f_values = tmp_path / "f.csv"
+    f_values.write_text("f\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "quadrature",
+        "--kernel",
+        "se",
+        "--nodes",
+        str(nodes),
+        "--target",
+        target,
+        "--f-values",
+        str(f_values),
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["n"] == 0
+    assert payload["weights"] == []
+    prior = 0.25**2 + 0.75**2 + 2.0 * 0.25 * 0.75 * math.exp(-0.25)
+    assert payload["variance"] == pytest.approx(prior, rel=1e-14)
+    assert payload["mean"] == 0.0

@@ -138,6 +138,18 @@ def test_noise_free_identity_single_node_closed_form():
     assert report.gap <= 1e-10
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_worst_case_identity_on_no_nodes_is_the_prior_sd(noise):
+    kernel = Matern(alpha=2.5, h=0.9)
+    x = np.array([0.4, -0.2])
+    empty = Dataset(np.zeros((0, 2)))
+    assert optimal_weights(kernel, empty.X, x, noise).shape == (0,)
+    report = verify_worst_case_identity(kernel, empty, noise, x)
+    expected = math.sqrt(kernel_eval(kernel, x, x) + noise)
+    assert report.lhs == report.rhs == expected
+    assert report.gap == 0.0
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_noise_free_identity_holds_for_random_instances(kernel):
     rng = np.random.default_rng(6)

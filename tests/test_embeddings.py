@@ -199,6 +199,18 @@ def test_identical_measures_give_an_exact_zero_report():
     assert report.gap == report.mmd_squared
 
 
+def test_two_empty_measures_give_an_all_zero_report():
+    empty = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
+    report = verify_average_case(SquaredExponential(), empty, empty, draws=50)
+    assert asdict(report) == {
+        "mmd_squared": 0.0,
+        "gp_variance": 0.0,
+        "gap": 0.0,
+        "mc_estimate": 0.0,
+        "mc_se": 0.0,
+    }
+
+
 def test_two_point_report_matches_the_closed_form():
     kernel = Matern(alpha=2.5, h=1.0)
     x, y = np.array([0.2]), np.array([0.7])

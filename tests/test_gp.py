@@ -82,7 +82,7 @@ def test_prior_sampling_rejects_bad_draw_counts(count):
 
 def test_conditioning_on_no_data_reproduces_the_prior():
     prior = GPPrior(SquaredExponential(gamma=0.8), mean=lambda x: 3.0 + float(x[0]))
-    post = condition(prior, Dataset(np.zeros((0, 1))), noise_variance=0.5)
+    post = condition(prior, Dataset(np.zeros((0, 1)), np.zeros(0)), noise_variance=0.5)
     x, y = np.array([0.4]), np.array([-0.3])
     assert posterior_mean(post, x) == pytest.approx(3.4, rel=1e-14)
     assert posterior_cov(post, x, y) == pytest.approx(

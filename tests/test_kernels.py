@@ -1,6 +1,7 @@
 """Kernel families: closed forms, Gram assembly, text form,
 and the shared coercers of per-point values and sample counts."""
 
+import inspect
 import math
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ import _oracles as oracles
 import kernelbridge
 from kernelbridge import duality, gp, kernels, krr
 from kernelbridge.duality import worst_case_error
-from kernelbridge.embeddings import DiscreteMeasure
+from kernelbridge.embeddings import DiscreteMeasure, verify_average_case
 from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
 from kernelbridge.gp import GPPrior, sample_prior
 from kernelbridge.kernels import (
@@ -591,6 +592,17 @@ def test_each_primitive_has_one_implementation():
     ]
     # A posterior variance is posterior_cov (posterior_cov_raw unclamped) alone.
     assert [name for name in vars(gp) if "variance" in name] == []
+    # An empty data set is the general call at n = 0; only linalg branches on
+    # the 0 x 0 matrix.
+    empty_branch = re.compile(r"shape\[0\] == 0|\bn (?:== 0|< 1|> 0)")
+    general = {
+        "gp": sources["gp.py"],
+        "krr": sources["krr.py"],
+        "duality": sources["duality.py"],
+        "verify_average_case": inspect.getsource(verify_average_case),
+        "kq_weights": inspect.getsource(kq_weights),
+    }
+    assert [name for name, text in general.items() if empty_branch.search(text)] == []
 
 
 # ----------------------------------------------------------------------

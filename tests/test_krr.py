@@ -7,7 +7,7 @@ import pytest
 
 import _oracles as oracles
 from kernelbridge.errors import InputError, NumericalError
-from kernelbridge.gp import GPPrior, condition, posterior_mean
+from kernelbridge.gp import GPPrior, condition, posterior_mean, posterior_mean_at
 from kernelbridge.kernels import (
     BrownianDistance,
     Dataset,
@@ -83,10 +83,26 @@ def test_nonpositive_regularization_is_rejected(lam):
 
 
 def test_fitting_requires_data():
-    with pytest.raises(InputError):
-        fit_krr(SquaredExponential(), Dataset(np.zeros((0, 1))), 0.1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="outputs"):
         fit_krr(SquaredExponential(), Dataset(np.zeros((3, 1))), 0.1)
+    # No observations at all is n = 0: the expansion with no centers.
+    f = fit_krr(SquaredExponential(), Dataset(np.zeros((0, 1)), np.zeros(0)), 0.1)
+    assert f.centers.shape == (0, 1)
+    np.testing.assert_array_equal(f.at([[0.3], [-2.0]]), [0.0, 0.0], strict=True)
+    assert f(0.3) == 0.0
+    assert f.norm() == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_an_empty_dataset_gives_zero_on_both_sides(lam):
+    kernel = Matern(alpha=1.5, h=0.5)
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0))
+    queries = np.array([[0.1, 0.2], [-0.7, 0.4], [3.0, 0.0]])
+    ridge = fit_krr(kernel, empty, lam).at(queries)
+    post = condition(GPPrior(kernel), empty, empty.n * lam)
+    mean = posterior_mean_at(post, queries)
+    np.testing.assert_array_equal(ridge, np.zeros(3), strict=True)
+    np.testing.assert_array_equal(mean, np.zeros(3), strict=True)
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,15 @@ def test_cholesky_handles_the_empty_matrix():
     assert jitter == 0.0
 
 
+def test_the_gate_accepts_the_empty_matrix():
+    empty = np.zeros((0, 0))
+    assert spd_stats(empty) == (np.inf, 0.0, 1.0)
+    require_invertible(empty, "empty")
+    for ridge in (0.0, 0.5):
+        L, jitter = factor_system(empty, ridge, "empty")
+        assert L.shape == (0, 0) and jitter == 0.0
+
+
 def test_solve_cholesky_inverts_the_factored_system():
     M = random_spd(3, 6)
     L, _ = cholesky_with_jitter(M, "M")

@@ -124,8 +124,6 @@ def test_weights_solve_the_stated_linear_system(lam):
 def test_weight_construction_validates_inputs():
     _, target = random_instance(5, 3, 3)
     with pytest.raises(InputError):
-        kq_weights(SquaredExponential(), np.zeros((0, 1)), target)
-    with pytest.raises(InputError):
         kq_weights(SquaredExponential(), np.zeros((3, 1)), target, lam=-0.1)
     with pytest.raises(InputError):
         kq_weights(SquaredExponential(), np.zeros((3, 2)), target)
@@ -223,6 +221,23 @@ def test_variance_identity_by_hand_for_a_single_node():
     report = verify_bq_kq_identity(rule)
     assert report.lhs == pytest.approx(expected, rel=1e-12)
     assert report.gap <= 1e-12
+
+
+def test_a_rule_with_no_nodes_reports_the_prior_variance():
+    kernel = Matern(alpha=1.5, h=0.7)
+    _, target = random_instance(3, 1, 4, d=2)
+    rule = kq_weights(kernel, np.zeros((0, 2)), target)
+    assert rule.weights.shape == (0,)
+    prior = sum(
+        wi * wj * oracles.kernel_value(kernel, a, b)
+        for a, wi in zip(target.atoms, target.weights)
+        for b, wj in zip(target.atoms, target.weights)
+    )
+    assert rule.target_double_integral == pytest.approx(prior, rel=1e-12)
+    assert bq_posterior(rule, []) == (0.0, rule.target_double_integral)
+    report = verify_bq_kq_identity(rule)
+    assert report.lhs == rule.target_double_integral
+    assert report.gap <= 1e-15 * report.lhs
 
 
 def test_variance_identity_requires_an_unregularized_rule():
