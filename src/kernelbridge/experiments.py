@@ -15,9 +15,10 @@ so :func:`kernelbridge.statespace.krr_coefficients` gets the ridge
 coefficients of all replications of one size from one Kalman filter and
 backward pass, without an n x n Gram matrix or its factorization. The
 coefficients are the ones :func:`kernelbridge.krr.fit_krr` solves for
-densely, to roundoff, and each fit is evaluated on the error grid as the
-:class:`~kernelbridge.kernels.RepresenterFunction` that ``fit_krr`` would
-return.
+densely, to roundoff. :func:`kernelbridge.statespace.predict` then
+evaluates every fit on the m-point error grid with two sweeps over the
+inputs, in O(n + m) and without an m x n cross-Gram, so the reported
+digits do not depend on the BLAS thread count.
 
 Targets are fixed representer combinations registered by name, which
 keeps their smoothness tied to the kernel family by construction and the
@@ -145,9 +146,8 @@ def rate_experiment(
         lam = lambda_coefficient / n
         coefficients = statespace.krr_coefficients(kernel, X, Y, n * lam)
         trials = []
-        for inputs, alpha in zip(X, coefficients):
-            fit = RepresenterFunction(kernel, inputs, alpha)
-            residual = fit.at(grid) - target_on_grid
+        for fit_on_grid in statespace.predict(kernel, X, coefficients, grid):
+            residual = fit_on_grid - target_on_grid
             trials.append(float(_trapezoid(residual * residual, grid)))
         mean_errors.append(float(np.mean(trials)))
     slope = float(np.polyfit(np.log(sizes), np.log(mean_errors), 1)[0])

@@ -137,7 +137,7 @@ def as_points(A) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise InputError(f"expected a point set (n x d array), got shape {arr.shape}")
-    if arr.shape[0] > 0 and arr.shape[1] == 0:
+    if arr.shape[1] == 0:
         raise InputError("points must have dimension >= 1")
     if not np.all(np.isfinite(arr)):
         raise InputError("point coordinates must be finite")

@@ -1,4 +1,4 @@
-"""Kernel ridge coefficients for Matern kernels on the line, in O(n).
+"""Kernel ridge fits for Matern kernels on the line, in O(n).
 
 A zero-mean process with a Matern kernel of order ``alpha`` in {1/2, 3/2,
 5/2} on the real line is the first component of a linear Gaussian
@@ -8,7 +8,7 @@ Sarkka, MLSP 2010). Its drift ``F`` is the companion matrix of
 nilpotent, the transition over a step ``dt`` is the finite sum
 ``A(dt) = exp(-lam dt) sum_{j<p} (N dt)^j / j!``, and its process noise is
 ``Q = P_inf - A P_inf A^T`` with ``P_inf`` the stationary covariance of the
-kernel's unit variance.
+kernel's unit variance. So ``k(s, t) = e1^T A(t - s) P_inf e1`` for s <= t.
 
 :func:`krr_coefficients` returns ``(K_XX + ridge I)^{-1} y``, the weights of
 both the ridge regressor and the posterior mean. It sorts the inputs, runs
@@ -18,7 +18,16 @@ the adjoint ``l_i`` of the observations after ``i``, carried back through
 ``A^T``, the coefficients are ``v_i / S_i - G_i^T l_i``: the transpose of
 the filter's own lower-triangular whitening, applied to ``v / S``. This
 avoids dividing the smoothed residual ``y - f`` by the ridge, which loses
-all digits as the ridge goes to 0. The work is O(n) per dataset, and a
+all digits as the ridge goes to 0.
+
+:func:`predict` evaluates ``f(t) = sum_i c_i k(t, x_i)`` without a cross-Gram.
+Over the sorted inputs, a forward sweep carries
+``s_i = A(x_i - x_{i-1}) s_{i-1} + P_inf e1 c_i`` and a backward sweep the
+same adjoint ``b_i = e1 c_i + A(x_{i+1} - x_i)^T b_{i+1}``. With ``x_j`` the
+last input at or below ``t``, ``f(t) = e1^T A(t - x_j) s_j +
+(A(x_{j+1} - t) P_inf e1) . b_{j+1}``, either term dropped past an end.
+
+Both functions are O(n) per dataset, plus O(m) for ``m`` points, and a
 batch of datasets of one size runs as one loop.
 """
 
@@ -31,11 +40,11 @@ import numpy as np
 from .errors import InputError, NumericalError, UnsupportedOperationError
 from .kernels import _MATERN_T_CAP, Matern
 
-__all__ = ["krr_coefficients"]
+__all__ = ["krr_coefficients", "predict"]
 
 
 def _transitions(kernel: Matern, gaps: np.ndarray):
-    """Transition matrices ``A``, process noise ``Q`` per gap, and ``P_inf``."""
+    """Transition matrices ``A`` per gap, and ``P_inf``."""
     p = int(kernel.alpha + 0.5)
     # A numpy scalar, so an extreme h overflows to inf instead of raising.
     lam = np.sqrt(2.0 * kernel.alpha) / kernel.h
@@ -54,8 +63,24 @@ def _transitions(kernel: Matern, gaps: np.ndarray):
     dt = np.minimum(gaps, _MATERN_T_CAP / lam)
     A = np.einsum("...j,jab->...ab", dt[..., None] ** np.arange(p), np.array(terms))
     A *= np.exp(-lam * dt)[..., None, None]
-    Q = p_inf - A @ p_inf @ np.swapaxes(A, -1, -2)
-    return A, Q, p_inf
+    return A, p_inf
+
+
+def _sorted(kernel, X, V, what: str):
+    """Check a batch of inputs with one value each; sort both by input."""
+    if not isinstance(kernel, Matern):
+        raise UnsupportedOperationError("state-space fits need a Matern kernel")
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if X.ndim != 3 or X.shape[2] != 1:
+        raise InputError(f"state-space fits need inputs of shape (batch, n, 1), got {X.shape}")
+    if V.shape != X.shape[:2]:
+        raise InputError(f"{what} of shape {V.shape} for inputs of shape {X.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
+        raise InputError(f"state-space inputs and {what} must be finite")
+    order = np.argsort(X[:, :, 0], axis=1, kind="stable")
+    x = np.take_along_axis(X[:, :, 0], order, axis=1)
+    return order, x, np.take_along_axis(V, order, axis=1)
 
 
 def krr_coefficients(kernel, X, Y, ridge: float) -> np.ndarray:
@@ -67,24 +92,13 @@ def krr_coefficients(kernel, X, Y, ridge: float) -> np.ndarray:
     finite. Raises :class:`NumericalError` if an innovation variance is not
     positive and finite.
     """
-    if not isinstance(kernel, Matern):
-        raise UnsupportedOperationError("state-space fits need a Matern kernel")
+    order, x, y = _sorted(kernel, X, Y, "outputs")
     if not np.isfinite(ridge) or ridge <= 0:
         raise InputError("the state-space ridge must be positive and finite")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 3 or X.shape[2] != 1:
-        raise InputError(f"state-space fits need inputs of shape (batch, n, 1), got {X.shape}")
-    if Y.shape != X.shape[:2]:
-        raise InputError(f"outputs of shape {Y.shape} for inputs of shape {X.shape}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise InputError("state-space inputs and outputs must be finite")
-    order = np.argsort(X[:, :, 0], axis=1, kind="stable")
-    x = np.take_along_axis(X[:, :, 0], order, axis=1)
-    y = np.take_along_axis(Y, order, axis=1)
     # Step-major arrays, so each step's slice is contiguous.
-    A, Q, p_inf = _transitions(kernel, np.diff(x, axis=1).T)
+    A, p_inf = _transitions(kernel, np.diff(x, axis=1).T)
     At = np.swapaxes(A, -1, -2)
+    Q = p_inf - A @ p_inf @ At
     b, n = y.shape
     p = p_inf.shape[0]
     v = np.empty((n, b))
@@ -113,4 +127,42 @@ def krr_coefficients(kernel, X, Y, ridge: float) -> np.ndarray:
         adjoint[:, 0] += coefficients[i]
     out = np.empty_like(y)
     np.put_along_axis(out, order, coefficients.T, axis=1)
+    return out
+
+
+def predict(kernel, X, coefficients, points) -> np.ndarray:
+    """Evaluate ``sum_i c_i k(t, x_i)`` at ``points`` for a batch of fits.
+
+    ``X`` has shape ``(batch, n, 1)``, ``coefficients`` shape ``(batch, n)``
+    and ``points`` shape ``(m,)``; the result has shape ``(batch, m)``.
+    ``kernel`` must be a :class:`~kernelbridge.kernels.Matern`. Raises
+    :class:`NumericalError` if a value is not finite.
+    """
+    _, x, c = _sorted(kernel, X, coefficients, "coefficients")
+    t = np.asarray(points, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise InputError(f"state-space predictions need finite points of shape (m,), got {t.shape}")
+    A, p_inf = _transitions(kernel, np.diff(x, axis=1).T)
+    At = np.swapaxes(A, -1, -2)
+    b, n = c.shape
+    # Index k holds what a point with k inputs at or below it needs: the
+    # state s_{k-1} and the adjoint b_k, zero past either end. Step i of the
+    # loop finishes s_i and b_{n-1-i}.
+    state = np.zeros((n + 1, b, p_inf.shape[0]))
+    state[1:] = p_inf[0] * c.T[:, :, None]
+    adjoint = np.zeros_like(state)
+    adjoint[:n, :, 0] = c.T
+    for i in range(1, n):
+        state[i + 1] += (A[i - 1] @ state[i][:, :, None])[:, :, 0]
+        j = n - 1 - i
+        adjoint[j] += (At[j] @ adjoint[j + 1][:, :, None])[:, :, 0]
+    k = np.stack([np.searchsorted(row, t, side="right") for row in x])
+    rows = np.arange(b)[:, None]
+    padded = np.pad(x, ((0, 0), (1, 1)))
+    below = _transitions(kernel, np.where(k > 0, t - padded[rows, k], 0.0))[0]
+    above = _transitions(kernel, np.where(k < n, padded[rows, k + 1] - t, 0.0))[0]
+    out = np.einsum("bmj,bmj->bm", below[..., 0, :], state[k, rows])
+    out += np.einsum("bmij,j,bmi->bm", above, p_inf[0], adjoint[k, rows])
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("a state-space prediction is not finite")
     return out

@@ -214,7 +214,8 @@ def test_verify_output_is_byte_stable_apart_from_wall_time(capsys, tmp_path):
     assert "wall_time" in first.read_text(encoding="utf-8")
 
 
-def test_verify_output_does_not_depend_on_the_blas_thread_count():
+def _outputs_under_one_and_two_blas_threads(*args):
+    """The CLI's stdout, ``wall_time`` stripped, under 1 and under 2 BLAS threads."""
     src = str(Path(kernelbridge.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
@@ -223,18 +224,7 @@ def test_verify_output_does_not_depend_on_the_blas_thread_count():
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[name] = threads
         done = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "kernelbridge.cli",
-                "verify",
-                "--suite",
-                "all",
-                "--trials",
-                "50",
-                "--seed",
-                "0",
-            ],
+            [sys.executable, "-m", "kernelbridge.cli", *args],
             env=env,
             capture_output=True,
             text=True,
@@ -242,7 +232,21 @@ def test_verify_output_does_not_depend_on_the_blas_thread_count():
         )
         assert done.returncode == 0, done.stderr
         outputs.append(strip_wall_time(done.stdout))
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_verify_output_does_not_depend_on_the_blas_thread_count():
+    one, two = _outputs_under_one_and_two_blas_threads(
+        "verify", "--suite", "all", "--trials", "50", "--seed", "0"
+    )
+    assert one == two
+
+
+def test_rates_output_does_not_depend_on_the_blas_thread_count():
+    one, two = _outputs_under_one_and_two_blas_threads(
+        "rates", "--sizes", "64,128,256,512,1024", "--seed", "0"
+    )
+    assert one == two
 
 
 def test_the_package_imports_no_scipy():

@@ -444,6 +444,13 @@ def test_dataset_accepts_empty_input_sets():
     assert data.Y is None
 
 
+def test_a_point_set_without_dimensions_is_rejected_where_it_comes_in():
+    for n in (0, 3):
+        with pytest.raises(InputError, match="dimension"):
+            Dataset(np.zeros((n, 0)), np.zeros(n))
+    assert Dataset(np.zeros(0), np.zeros(0)).d == 1
+
+
 def test_dataset_validates_shapes_and_finiteness():
     with pytest.raises(InputError):
         Dataset(np.array([[0.0], [1.0]]), np.array([1.0]))

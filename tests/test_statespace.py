@@ -115,3 +115,92 @@ def test_the_rate_experiment_builds_no_training_gram_and_factors_nothing(monkeyp
     )
     assert calls
     assert not any(A.shape == B.shape and np.array_equal(A, B) for A, B in calls)
+    # Only the target is evaluated, on each input set and once on the grid:
+    # the fits are predicted on the grid without a cross-Gram.
+    centers = experiments.target_function("matern32-mix").centers
+    grid_size = experiments._EVALUATION_GRID_SIZE
+    assert all(np.array_equal(B, centers) for _, B in calls)
+    assert [A.shape[0] for A, _ in calls].count(grid_size) == 1
+    assert len(calls) == 3 * 2 + 1
+
+
+def _grid(X):
+    """Points past both ends of the inputs, unsorted, with exact input points."""
+    return np.concatenate([np.linspace(1.5, -0.5, 201), X[:8, 0]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 2048])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_predictions_match_the_dense_ridge_fit(alpha, n):
+    kernel = Matern(alpha=alpha, h=0.2)
+    X, y = _inputs(n, seed=n)
+    fit = krr.fit_krr(kernel, Dataset(X, y), 1e-4)
+    grid = _grid(X)
+    values = statespace.predict(kernel, X[None], fit.coefficients[None], grid)
+    assert values.shape == (1, grid.size)
+    # Forward error: every kernel value is at most 1, so both sides are sums
+    # of terms bounded by |c_i|.
+    bound = 8.0 * EPS * np.sum(np.abs(fit.coefficients))
+    np.testing.assert_allclose(values[0], fit.at(grid), rtol=0.0, atol=bound)
+
+
+def test_a_batch_is_predicted_fit_by_fit_and_the_input_order_does_not_matter():
+    kernel = Matern(alpha=2.5, h=0.2)
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.0, 1.0, (3, 40, 1))
+    C = rng.normal(size=(3, 40))
+    grid = _grid(X[0])
+    batch = statespace.predict(kernel, X, C, grid)
+    for b in range(3):
+        alone = statespace.predict(kernel, X[b : b + 1], C[b : b + 1], grid)
+        np.testing.assert_array_equal(batch[b], alone[0])
+        shuffled = rng.permutation(40)
+        again = statespace.predict(kernel, X[b : b + 1, shuffled], C[b : b + 1, shuffled], grid)
+        np.testing.assert_array_equal(batch[b], again[0])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_a_gap_past_the_kernel_cap_gives_what_gram_gives(alpha):
+    # At h = 1e-4 every kernel value is exactly 0 past a distance of 0.075.
+    kernel = Matern(alpha=alpha, h=1e-4)
+    rng = np.random.default_rng(3)
+    left = rng.uniform(0.0, 0.01, 20)
+    right = rng.uniform(0.99, 1.0, 20)
+    X = np.concatenate([left, right])[:, None]
+    c = rng.normal(size=40)
+    far = np.array([0.2, 0.5, 0.8])
+    values = statespace.predict(kernel, X[None], c[None], far)[0]
+    np.testing.assert_array_equal(values, gram(kernel, far, X) @ c)
+    np.testing.assert_array_equal(values, 0.0)
+    # Nothing crosses the gap: each cluster predicts as if it were alone.
+    near = np.linspace(-0.001, 0.011, 25)
+    for cluster, shift in ((slice(0, 20), 0.0), (slice(20, 40), 0.99)):
+        alone = statespace.predict(kernel, X[None, cluster], c[None, cluster], near + shift)
+        both = statespace.predict(kernel, X[None], c[None], near + shift)
+        np.testing.assert_array_equal(both, alone)
+
+
+def test_predictions_validate_their_inputs():
+    kernel = Matern(alpha=1.5, h=0.2)
+    X = np.linspace(0.0, 1.0, 5)[None, :, None]
+    c = np.ones((1, 5))
+    grid = np.linspace(0.0, 1.0, 7)
+    with pytest.raises(UnsupportedOperationError):
+        statespace.predict(SquaredExponential(), X, c, grid)
+    for bad in (
+        (X[0], c, grid),
+        (np.repeat(X, 2, axis=2), c, grid),
+        (X, c[:, :4], grid),
+        (X, np.full((1, 5), np.nan), grid),
+        (X, c, grid[:, None]),
+        (X, c, np.array([0.5, np.inf])),
+    ):
+        with pytest.raises(InputError):
+            statespace.predict(kernel, *bad)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5])
+def test_a_prediction_that_is_not_finite_raises(alpha):
+    X = np.linspace(0.0, 1.0, 5)[None, :, None]
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="prediction"):
+        statespace.predict(Matern(alpha=alpha, h=1e-200), X, np.ones((1, 5)), [0.5])
