@@ -12,13 +12,14 @@ rather than a tolerance.
 
 The fits are O(n): the Matern kernel on the line is a state-space model,
 so :func:`kernelbridge.statespace.krr_coefficients` gets the ridge
-coefficients of all replications of one size from one Kalman filter and
-backward pass, without an n x n Gram matrix or its factorization. The
-coefficients are the ones :func:`kernelbridge.krr.fit_krr` solves for
-densely, to roundoff. :func:`kernelbridge.statespace.predict` then
-evaluates every fit on the m-point error grid with two sweeps over the
-inputs, in O(n + m) and without an m x n cross-Gram, so the reported
-digits do not depend on the BLAS thread count.
+coefficients of every size and replication from one Kalman filter and
+backward pass, a loop of as many steps as the largest size, without an
+n x n Gram matrix or its factorization. The coefficients are the ones
+:func:`kernelbridge.krr.fit_krr` solves for densely, to roundoff.
+:func:`kernelbridge.statespace.predict` then evaluates every fit on the
+m-point error grid with one loop of two sweeps over the inputs, in
+O(n + m) and without an m x n cross-Gram, so the reported digits do not
+depend on the BLAS thread count.
 
 Targets are fixed representer combinations registered by name, which
 keeps their smoothness tied to the kernel family by construction and the
@@ -104,7 +105,7 @@ def rate_experiment(
     For each sample size ``n`` and replication the experiment draws ``n``
     uniform inputs, evaluates the target, adds centered Gaussian noise
     with standard deviation 0.1, fits the ridge estimator at
-    ``lambda = lambda_coefficient / n`` (all replications of a size in one
+    ``lambda = lambda_coefficient / n`` (all sizes and replications in one
     state-space pass), and records the squared L2 distance to the target
     via the trapezoid rule on a dense grid. Errors are averaged over
     replications before the slope fit.
@@ -132,24 +133,27 @@ def rate_experiment(
 
     grid = np.linspace(0.0, 1.0, _EVALUATION_GRID_SIZE)
     target_on_grid = target.at(grid)
-    mean_errors = []
+    X, Y, ridges = [], [], []
     for size_index, n in enumerate(sizes):
-        X = np.empty((replications, n, 1))
-        Y = np.empty((replications, n))
+        lam = lambda_coefficient / n
         for rep in range(replications):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, size_index, rep))
             )
-            X[rep, :, 0] = rng.uniform(0.0, 1.0, n)
+            X.append(rng.uniform(0.0, 1.0, n)[:, None])
             noise = rng.normal(0.0, NOISE_STANDARD_DEVIATION, n)
-            Y[rep] = target.at(X[rep]) + noise
-        lam = lambda_coefficient / n
-        coefficients = statespace.krr_coefficients(kernel, X, Y, n * lam)
-        trials = []
-        for fit_on_grid in statespace.predict(kernel, X, coefficients, grid):
-            residual = fit_on_grid - target_on_grid
-            trials.append(float(_trapezoid(residual * residual, grid)))
-        mean_errors.append(float(np.mean(trials)))
+            Y.append(target.at(X[-1]) + noise)
+            ridges.append(n * lam)
+    coefficients = statespace.krr_coefficients(kernel, X, Y, ridges)
+    del Y  # not needed while the fits are predicted
+    trials = []
+    for fit_on_grid in statespace.predict(kernel, X, coefficients, grid):
+        residual = fit_on_grid - target_on_grid
+        trials.append(float(_trapezoid(residual * residual, grid)))
+    mean_errors = [
+        float(np.mean(trials[i : i + replications]))
+        for i in range(0, len(trials), replications)
+    ]
     slope = float(np.polyfit(np.log(sizes), np.log(mean_errors), 1)[0])
     theoretical = -2.0 * kernel.alpha / (2.0 * kernel.alpha + 1.0)
     return RateExperimentResult(

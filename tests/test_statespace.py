@@ -89,12 +89,74 @@ def test_inputs_are_validated():
         statespace.krr_coefficients(SquaredExponential(), X, Y, 0.1)
 
 
-@pytest.mark.parametrize("alpha", [1.5, 2.5])
-def test_an_innovation_variance_that_is_not_finite_raises(alpha):
-    # lam = sqrt(2 alpha) / h overflows lam^2 in the stationary covariance.
+def test_sets_of_any_sizes_are_solved_and_predicted_set_by_set():
+    kernel = Matern(alpha=1.5, h=0.2)
+    sizes = [0, 1, 2, 64, 2048]
+    sets = [_inputs(n, seed=n) for n in sizes]
+    ridges = [10.0 ** -(r + 1) for r in range(len(sizes))]
+    grid = _grid(sets[-1][0])
+    alone = [
+        (
+            statespace.krr_coefficients(kernel, [X], [y], ridge)[0],
+            statespace.predict(kernel, [X], [y], grid)[0],
+        )
+        for (X, y), ridge in zip(sets, ridges)
+    ]
+    # Shortest first, then shuffled; the shuffle puts sizes out of order.
+    for order in (range(len(sizes)), [3, 0, 4, 2, 1]):
+        X = [sets[r][0] for r in order]
+        Y = [sets[r][1] for r in order]
+        coefficients = statespace.krr_coefficients(kernel, X, Y, [ridges[r] for r in order])
+        predictions = statespace.predict(kernel, X, Y, grid)
+        assert predictions.shape == (len(sizes), grid.size)
+        for c, values, r in zip(coefficients, predictions, order):
+            np.testing.assert_array_equal(c, alone[r][0])
+            np.testing.assert_array_equal(values, alone[r][1])
+
+
+def test_sets_of_any_sizes_are_validated():
+    kernel = Matern(alpha=1.5, h=0.2)
+    X = [np.linspace(0.0, 1.0, n)[:, None] for n in (3, 5)]
+    Y = [np.ones(3), np.ones(5)]
+    for function in (statespace.krr_coefficients, statespace.predict):
+        args = (0.1,) if function is statespace.krr_coefficients else ([0.5],)
+        with pytest.raises(InputError, match="2 input sets"):
+            function(kernel, X, Y[:1], *args)
+        with pytest.raises(InputError, match=r"shape \(n, 1\)"):
+            function(kernel, [X[0], X[1][:, 0]], Y, *args)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite"):
+                function(kernel, X, [Y[0], np.where(np.arange(5) == 4, bad, 1.0)], *args)
+            with pytest.raises(InputError, match="finite"):
+                function(kernel, [X[0], np.where(X[1] > 0.9, bad, X[1])], Y, *args)
+    for ridges in ([0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]):
+        with pytest.raises(InputError, match="ridge"):
+            statespace.krr_coefficients(kernel, X, Y, ridges)
+    with pytest.raises(InputError, match="ridge"):
+        statespace.krr_coefficients(kernel, X, Y, [0.1, 0.0])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_a_length_scale_too_small_for_the_model_raises(alpha):
+    # lam = sqrt(2 alpha) / h; P_inf holds lam^2 (3/2) and lam^4 (5/2).
+    h = {0.5: 1e-320, 1.5: 1e-160, 2.5: 1e-100}[alpha]
     X = np.linspace(0.0, 1.0, 5)[None, :, None]
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="innovation"):
-        statespace.krr_coefficients(Matern(alpha=alpha, h=1e-200), X, np.ones((1, 5)), 0.1)
+    with pytest.raises(NumericalError, match=f"length scale h = {h:g}"):
+        statespace.krr_coefficients(Matern(alpha=alpha, h=h), X, np.ones((1, 5)), 0.1)
+    with pytest.raises(NumericalError, match=f"length scale h = {h:g}"):
+        statespace.predict(Matern(alpha=alpha, h=h), X, np.ones((1, 5)), [0.5])
+
+
+def test_order_one_half_runs_at_a_tiny_length_scale_without_warnings():
+    # lam = 1e300 is finite, and P_inf = [[1]] never squares it. Every kernel
+    # value between distinct points is 0, so K + ridge I is (1 + ridge) I.
+    kernel = Matern(alpha=0.5, h=1e-300)
+    X, y = _inputs(40, seed=4)
+    X, y = X[2:], y[2:]  # drop the exact duplicate
+    c = statespace.krr_coefficients(kernel, [X], [y], 0.5)[0]
+    np.testing.assert_array_equal(c, y / 1.5)
+    values = statespace.predict(kernel, [X], [c], X[:, 0])[0]
+    np.testing.assert_array_equal(values, c)
 
 
 def test_the_rate_experiment_builds_no_training_gram_and_factors_nothing(monkeypatch):
@@ -110,18 +172,31 @@ def test_the_rate_experiment_builds_no_training_gram_and_factors_nothing(monkeyp
 
     monkeypatch.setattr(Matern, "_gram", recording)
     monkeypatch.setattr(krr, "factor_system", refuse)
-    experiments.rate_experiment(
-        "matern32-mix", Matern(alpha=1.5, h=0.2), sizes=(16, 32, 64), replications=2
-    )
-    assert calls
-    assert not any(A.shape == B.shape and np.array_equal(A, B) for A, B in calls)
-    # Only the target is evaluated, on each input set and once on the grid:
-    # the fits are predicted on the grid without a cross-Gram.
+    passes = []
+    for name in ("krr_coefficients", "predict"):
+
+        def counting(*args, _name=name, _inner=getattr(statespace, name)):
+            passes.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(statespace, name, counting)
     centers = experiments.target_function("matern32-mix").centers
     grid_size = experiments._EVALUATION_GRID_SIZE
-    assert all(np.array_equal(B, centers) for _, B in calls)
-    assert [A.shape[0] for A, _ in calls].count(grid_size) == 1
-    assert len(calls) == 3 * 2 + 1
+    for sizes in ((16, 32, 64), (8, 16, 32, 64, 128)):
+        calls.clear()
+        passes.clear()
+        experiments.rate_experiment(
+            "matern32-mix", Matern(alpha=1.5, h=0.2), sizes=sizes, replications=2
+        )
+        # One state-space pass of each kind serves all sizes and replications.
+        assert passes == ["krr_coefficients", "predict"]
+        assert calls
+        assert not any(A.shape == B.shape and np.array_equal(A, B) for A, B in calls)
+        # Only the target is evaluated, on each input set and once on the grid:
+        # the fits are predicted on the grid without a cross-Gram.
+        assert all(np.array_equal(B, centers) for _, B in calls)
+        assert [A.shape[0] for A, _ in calls].count(grid_size) == 1
+        assert len(calls) == len(sizes) * 2 + 1
 
 
 def _grid(X):
@@ -201,6 +276,7 @@ def test_predictions_validate_their_inputs():
 
 @pytest.mark.parametrize("alpha", [1.5, 2.5])
 def test_a_prediction_that_is_not_finite_raises(alpha):
-    X = np.linspace(0.0, 1.0, 5)[None, :, None]
+    # Five coefficients of 1e308 on one point sum past the float range.
+    X = np.full((1, 5, 1), 0.5)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="prediction"):
-        statespace.predict(Matern(alpha=alpha, h=1e-200), X, np.ones((1, 5)), [0.5])
+        statespace.predict(Matern(alpha=alpha, h=0.2), X, np.full((1, 5), 1e308), [0.5])
