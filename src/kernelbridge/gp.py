@@ -24,7 +24,13 @@ import numpy as np
 from .errors import InputError
 from .kernels import Dataset, Kernel, as_count, as_point, as_points, gram
 from .kernels import eval as kernel_value
-from .linalg import Cholesky, _solve_lower, cholesky_with_jitter, factor_system
+from .linalg import (
+    Cholesky,
+    _solve_lower,
+    cholesky_with_jitter,
+    factor_system,
+    normals_times,
+)
 
 __all__ = [
     "GPPrior",
@@ -89,9 +95,9 @@ def sample_prior(prior: GPPrior, X, count: int, seed: int) -> np.ndarray:
     K = gram(prior.kernel, P, P)
     # Ungated: prior draws on duplicated inputs are legal, and only L is used.
     L = cholesky_with_jitter(K, name="K_XX").factor
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((count, P.shape[0]))
-    return prior.mean_at(P)[None, :] + u @ L.T
+    draws = normals_times(np.random.default_rng(seed), L, count)
+    draws += prior.mean_at(P)
+    return draws
 
 
 def condition(prior: GPPrior, data: Dataset, noise_variance: float) -> GPPosterior:

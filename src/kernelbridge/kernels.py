@@ -66,6 +66,15 @@ the plain expression gives. There are four exceptions:
 
 In all three, coordinate differences below about ``1e-154`` times the
 largest coordinate still lose their squares to underflow.
+
+A Gram matrix larger than one block of
+:func:`~kernelbridge.linalg.row_blocks` (2^14 entries) is filled one row
+block at a time, each block through the same ``_gram``, so its
+temporaries stay in cache. The steps above are per entry, the polynomial
+kernel's inner products are one BLAS product per block of at least two
+rows, and the power-of-two exponent is that of the whole point sets, so
+every entry is bitwise the one a single ``_gram`` call on the whole sets
+gives, at any scale.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedOperationError
-from .linalg import nonnegative
+from .linalg import nonnegative, row_blocks
 
 __all__ = [
     "Kernel",
@@ -196,12 +205,21 @@ def _pairwise_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _power_of_two_scaled(A: np.ndarray, B: np.ndarray):
-    """``(A 2^-e, B 2^-e, e)``, exact, with ``e`` nonzero only where squares
-    would leave the normal range; it brings the largest coordinate to [0.5, 1)."""
+def _scale_exponent(A: np.ndarray, B: np.ndarray) -> int:
+    """The ``e`` that brings the largest coordinate of both sets to [0.5, 1)
+    by ``2^-e``, or 0 where no square would leave the normal range."""
     largest = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
     e = int(np.frexp(largest)[1])
-    if abs(e) <= _SAFE_EXPONENT:
+    return e if abs(e) > _SAFE_EXPONENT else 0
+
+
+def _power_of_two_scaled(A: np.ndarray, B: np.ndarray, e: int | None):
+    """``(A 2^-e, B 2^-e, e)``, exact; ``e`` is :func:`_scale_exponent` of
+    ``A`` and ``B`` unless given (the exponent of the whole point sets, for a
+    row block of a Gram matrix)."""
+    if e is None:
+        e = _scale_exponent(A, B)
+    if not e:
         return A, B, 0
     return np.ldexp(A, -e), np.ldexp(B, -e), e
 
@@ -217,10 +235,13 @@ class Kernel:
     Subclasses implement ``_gram`` on validated ``(n, d)`` arrays, returning
     a new array that shares no memory with its inputs (the composites write
     into it); the public entry points :func:`eval` and :func:`gram` handle
-    coercion and shape checks.
+    coercion and shape checks. ``e`` is the power-of-two scaling exponent
+    of the whole point sets when ``A`` is a row block of them, and ``None``
+    when ``A`` and ``B`` are the whole sets; kernels that scale no
+    coordinates ignore it.
     """
 
-    def _gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def _gram(self, A: np.ndarray, B: np.ndarray, e: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -236,8 +257,8 @@ class SquaredExponential(Kernel):
             "SquaredExponential length scale gamma must be positive and finite",
         )
 
-    def _gram(self, A, B):
-        A, B, e = _power_of_two_scaled(A, B)
+    def _gram(self, A, B, e=None):
+        A, B, e = _power_of_two_scaled(A, B, e)
         if not e and _SE_NORMAL_GAMMA[0] <= self.gamma <= _SE_NORMAL_GAMMA[1]:
             out = _pairwise_sqdist(A, B)
             np.negative(out, out=out)
@@ -278,14 +299,15 @@ class Matern(Kernel):
             "Matern length scale h must be positive and finite",
         )
 
-    def _gram(self, A, B):
+    def _gram(self, A, B, e=None):
         # In place on the distance array and, for 3/2 and 5/2, on exp(-t),
         # with the operations of the closed forms in the module docstring,
         # in the same order. In d >= 2 the distance is taken on coordinates
         # scaled by 2^-e and scaled back, exactly, as the Brownian kernel does.
-        e = 0
         if A.shape[1] > 1:
-            A, B, e = _power_of_two_scaled(A, B)
+            A, B, e = _power_of_two_scaled(A, B, e)
+        else:
+            e = 0
         t = _pairwise_dist(A, B)
         if e:
             with np.errstate(over="ignore"):
@@ -336,7 +358,7 @@ class Polynomial(Kernel):
             "Polynomial offset c must be nonnegative and finite",
         )
 
-    def _gram(self, A, B):
+    def _gram(self, A, B, e=None):
         out = A @ B.T
         out += self.c
         # An overflow leaves inf, which linalg rejects with a named error.
@@ -357,7 +379,7 @@ class KroneckerDelta(Kernel):
             "KroneckerDelta scale must be nonnegative and finite",
         )
 
-    def _gram(self, A, B):
+    def _gram(self, A, B, e=None):
         equal = np.ones((A.shape[0], B.shape[0]), dtype=bool)
         for k in range(A.shape[1]):
             equal &= np.equal.outer(A[:, k], B[:, k])
@@ -373,17 +395,17 @@ class BrownianDistance(Kernel):
     breaks positive semi-definiteness already on two points.
     """
 
-    def _gram(self, A, B):
+    def _gram(self, A, B, e=None):
         # On the line the norms are |a|, exact like the distances |a - b|:
         # a squared norm could underflow where the distance does not, and
         # the matrix would lose positive semi-definiteness.
-        e = 0
         if A.shape[1] == 1:
+            e = 0
             na, nb = np.abs(A[:, 0]), np.abs(B[:, 0])
         else:
             # Scaled by 2^-e here and back by 2^e below: exact, as the kernel
             # is homogeneous of degree 1.
-            A, B, e = _power_of_two_scaled(A, B)
+            A, B, e = _power_of_two_scaled(A, B, e)
             na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
         r = _pairwise_dist(A, B)
         out = np.subtract(np.add.outer(na, nb), r, out=r)
@@ -403,9 +425,9 @@ class Sum(Kernel):
             "Sum operands must be kernels",
         )
 
-    def _gram(self, A, B):
-        out = self.left._gram(A, B)
-        out += self.right._gram(A, B)
+    def _gram(self, A, B, e=None):
+        out = self.left._gram(A, B, e)
+        out += self.right._gram(A, B, e)
         return out
 
 
@@ -422,9 +444,9 @@ class Product(Kernel):
             "Product operands must be kernels",
         )
 
-    def _gram(self, A, B):
-        out = self.left._gram(A, B)
-        out *= self.right._gram(A, B)
+    def _gram(self, A, B, e=None):
+        out = self.left._gram(A, B, e)
+        out *= self.right._gram(A, B, e)
         return out
 
 
@@ -442,8 +464,8 @@ class Scaled(Kernel):
             "Scaled factor must be positive and finite",
         )
 
-    def _gram(self, A, B):
-        out = self.base._gram(A, B)
+    def _gram(self, A, B, e=None):
+        out = self.base._gram(A, B, e)
         out *= self.factor
         return out
 
@@ -460,14 +482,25 @@ def eval(kernel: Kernel, x, y) -> float:
 
 
 def gram(kernel: Kernel, A, B) -> np.ndarray:
-    """Assemble the matrix with entries ``k(a_i, b_j)``."""
+    """Assemble the matrix with entries ``k(a_i, b_j)``.
+
+    A matrix larger than one block is filled one row block at a time, bitwise
+    equal to one ``_gram`` call on the whole sets (see the module docstring).
+    """
     Am = as_points(A)
     Bm = as_points(B)
     if Am.shape[1] != Bm.shape[1]:
         raise InputError(
             f"point dimensions differ: {Am.shape[1]} vs {Bm.shape[1]}"
         )
-    return kernel._gram(Am, Bm)
+    blocks = row_blocks(Am.shape[0], Bm.shape[0])
+    if len(blocks) <= 1:
+        return kernel._gram(Am, Bm)
+    e = _scale_exponent(Am, Bm)
+    out = np.empty((Am.shape[0], Bm.shape[0]))
+    for rows in blocks:
+        out[rows] = kernel._gram(Am[rows], Bm, e)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,25 @@ the already triangular factor. The diagonal blocks are solved with
 ``np.linalg.solve`` on the whole factor. The block must stay at least the
 largest n a verify suite draws (50, in :mod:`kernelbridge.suites`), so that
 verify reports stay byte-identical.
+
+Large arrays are produced in row blocks of at most ``_BLOCK_ENTRIES``
+float64 entries (2^14, 128 KiB), so their temporaries stay in cache and
+few fresh pages are faulted in; :func:`row_blocks` splits the rows.
+:func:`normals_times`, the one product of standard normals with a root,
+draws the normals into one reused block and multiplies each block into its
+slice of the result: the normals are the values of one
+``rng.standard_normal((count, r))`` call, in the same order, and the
+generator ends in the same state. :func:`kernelbridge.kernels.gram` fills
+its result one row block at a time.
+
+Blocks split the rows evenly and never hold a single row, because OpenBLAS
+rounds a product of a few rows by other kernels (numpy sends one row to
+``gemv``). The sampler splits only roots of at most ``_DRAW_WIDTH`` (64)
+columns, which holds every verify suite's (n <= 50): there each block's
+product is bitwise the rows of the one-shot product under 1 and 2 BLAS
+threads. On wider roots OpenBLAS can round the last rows of a call
+differently from the same rows inside a larger call (seen at r = 300), so
+their draws stay one product.
 """
 
 from __future__ import annotations
@@ -47,6 +66,14 @@ CONDITION_LIMIT = 1e12
 # (see the module docstring).
 _BLOCK = 64
 
+# Entries in one row block of a large array (see the module docstring). At
+# most 2^15: larger blocks bring back the page faults that blocking removes,
+# and smaller ones slow Gram assembly (CHANGES.md has the measurements).
+_BLOCK_ENTRIES = 1 << 14
+
+# Widest root whose draws are split into row blocks (see the module docstring).
+_DRAW_WIDTH = 64
+
 
 class Cholesky(NamedTuple):
     """Lower factor with ``factor @ factor.T`` = the matrix + ``jitter * I``."""
@@ -61,7 +88,43 @@ class Cholesky(NamedTuple):
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Average a matrix with its transpose."""
-    return 0.5 * (matrix + matrix.T)
+    out = matrix + matrix.T
+    out *= 0.5
+    return out
+
+
+def row_blocks(rows: int, width: int) -> list:
+    """Slices that split ``rows`` rows of ``width`` entries into row blocks.
+
+    Each block holds at most ``_BLOCK_ENTRIES`` entries or four rows,
+    whichever is more, and the blocks differ in size by at most one row, so
+    no block of a split has a single row (numpy sends a one-row product to
+    ``gemv``, which rounds differently from ``gemm``). ``rows == 0`` gives
+    no block.
+    """
+    per_block = max(4, _BLOCK_ENTRIES // max(width, 1))
+    count = -(-rows // per_block)
+    return [slice(i * rows // count, (i + 1) * rows // count) for i in range(count)]
+
+
+def normals_times(rng: np.random.Generator, root: np.ndarray, count: int) -> np.ndarray:
+    """``rng.standard_normal((count, r)) @ root.T`` for an ``(n, r)`` root.
+
+    For ``r`` up to ``_DRAW_WIDTH`` the normals are drawn into one reused
+    block and each block is multiplied into its slice of the result, so no
+    ``count x r`` array of normals exists; see the module docstring for the
+    bits this keeps.
+    """
+    width = root.shape[1]
+    out = np.empty((count, root.shape[0]))
+    blocks = row_blocks(count, width) if width <= _DRAW_WIDTH else [slice(0, count)]
+    if blocks:
+        block = np.empty((-(-count // len(blocks)), width))
+        for rows in blocks:
+            z = block[: rows.stop - rows.start]
+            rng.standard_normal(out=z)
+            np.matmul(z, root.T, out=out[rows])
+    return out
 
 
 def shift_diagonal(matrix: np.ndarray, value: float) -> np.ndarray:
@@ -246,6 +309,4 @@ def sample_gaussian(
     clamp = JITTER_INITIAL * float(np.trace(reference)) / n
     lam, vec = np.linalg.eigh(cov)
     lam = np.where(lam < max(clamp, 0.0), 0.0, lam)
-    root = vec * np.sqrt(lam)[None, :]
-    z = rng.standard_normal((count, n))
-    return z @ root.T
+    return normals_times(rng, vec * np.sqrt(lam)[None, :], count)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import Kernel, as_count, as_points, as_values, gram
-from .linalg import symmetrize
+from .linalg import normals_times, symmetrize
 
 __all__ = [
     "EigenSystem",
@@ -153,7 +153,5 @@ def kl_sample(eig: EigenSystem, truncation: int, count: int, seed: int) -> np.nd
     """
     r = _check_truncation(eig, truncation)
     count = as_count(count)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, r))
     basis = eig.eigenfunctions_at_nodes[:, :r] * np.sqrt(eig.eigenvalues[:r])[None, :]
-    return z @ basis.T
+    return normals_times(np.random.default_rng(seed), basis, count)

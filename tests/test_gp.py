@@ -53,6 +53,16 @@ def test_prior_sampling_honours_a_nonzero_mean_function():
     np.testing.assert_allclose(draws, np.tile([0.0, 4.0], (3, 1)), atol=1e-12)
 
 
+def test_prior_draws_are_bitwise_the_mean_plus_normals_times_the_factor():
+    # 2000 draws at 40 points span several blocks of normals.
+    prior = GPPrior(Matern(alpha=2.5, h=0.5), mean=lambda x: 3.0 * float(x[0]) - 1.0)
+    X = np.linspace(0.0, 2.0, 40)[:, None]
+    L = linalg.cholesky_with_jitter(gram(prior.kernel, X, X)).factor
+    u = np.random.default_rng(4).standard_normal((2000, 40))
+    expected = prior.mean_at(X)[None, :] + u @ L.T
+    np.testing.assert_array_equal(sample_prior(prior, X, 2000, seed=4), expected, strict=True)
+
+
 def test_prior_sampling_with_zero_count_returns_an_empty_block():
     draws = sample_prior(GPPrior(SquaredExponential()), np.zeros((3, 1)), 0, seed=0)
     assert draws.shape == (0, 3)

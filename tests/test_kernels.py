@@ -4,6 +4,7 @@ and the shared coercers of per-point values and sample counts."""
 import inspect
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from kernelbridge.kernels import (
     gram,
     parse_kernel,
 )
+from kernelbridge.linalg import _BLOCK_ENTRIES, row_blocks
 from kernelbridge.quadrature import bq_posterior, kq_weights
 from kernelbridge.spectral import kl_sample, nystrom_eigensystem
 
@@ -400,6 +402,57 @@ def test_polynomial_overflow_gives_inf_without_a_warning():
     # linalg names the non-finite entry; numpy has nothing to add.
     K = gram(Polynomial(degree=3), [[1e120]], [[1e120]])
     np.testing.assert_array_equal(K, [[np.inf]], strict=True)
+
+
+@pytest.mark.parametrize("kernel", LEAF_FAMILIES + COMPOSITE_FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", [(300, 129), (37, 5000), (5, 20_000)])
+def test_a_gram_of_several_row_blocks_is_bitwise_one_gram_call(kernel, d, n, m):
+    A = random_points(300 + n, n, d)
+    B = random_points(400 + m, m, d)
+    B[0] = A[-1]  # one exact duplicate: distance 0, delta 1
+    assert len(row_blocks(n, m)) > 1
+    np.testing.assert_array_equal(gram(kernel, A, B), kernel._gram(A, B), strict=True)
+
+
+@pytest.mark.parametrize(
+    "kernel,d",
+    [
+        (SquaredExponential(gamma=1e-200), 1),
+        (SquaredExponential(gamma=1e-200), 2),
+        (Matern(alpha=1.5, h=1e-200), 2),
+        (BrownianDistance(), 2),
+    ],
+)
+def test_row_blocks_scale_by_the_exponent_of_the_whole_point_sets(kernel, d):
+    # Rows of order 1e-200 and, in the last block, one row of 1e200: the
+    # whole sets scale by 2^-665, which flushes the small coordinates (the
+    # known limit in the module docstring). A block scaled by its own
+    # exponent would keep them, and the entries would depend on the blocking.
+    A = np.zeros((300, d))
+    A[:, 0] = np.arange(1, 301) * 1e-200
+    A[-1, 0] = 1e200
+    B = np.zeros((200, d))
+    B[:, 0] = np.arange(1, 201) * 1e-200
+    blocks = row_blocks(len(A), len(B))
+    assert len(blocks) > 1 and blocks[-1].start < len(A) - 1
+    with np.errstate(over="ignore"):
+        K = gram(kernel, A, B)
+        np.testing.assert_array_equal(K, kernel._gram(A, B), strict=True)
+        assert not np.array_equal(K[blocks[0]], kernel._gram(A[blocks[0]], B))
+
+
+@pytest.mark.parametrize("kernel", LEAF_FAMILIES + COMPOSITE_FAMILIES)
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_blocked_gram_holds_its_result_and_a_few_blocks(kernel, d):
+    A, B = random_points(5, 600, d), random_points(6, 500, d)
+    tracemalloc.start()
+    try:
+        K = gram(kernel, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K.nbytes + 6 * 8 * _BLOCK_ENTRIES
 
 
 def test_gram_rejects_mismatched_dimensions():

@@ -1,5 +1,9 @@
 """Factorization, jitter escalation, conditioning checks, Gaussian sampling."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +13,15 @@ import kernelbridge
 from kernelbridge.errors import NumericalError
 from kernelbridge.kernels import Matern, gram
 from kernelbridge.linalg import (
+    _BLOCK_ENTRIES,
     Cholesky,
     _solve_lower,
     cholesky_with_jitter,
     factor_system,
     nonnegative,
+    normals_times,
     require_invertible,
+    row_blocks,
     sample_gaussian,
     shift_diagonal,
     solve_cholesky,
@@ -32,6 +39,13 @@ def random_spd(seed, n):
 def test_symmetrize_averages_the_off_diagonal():
     M = np.array([[1.0, 2.0], [4.0, 3.0]])
     np.testing.assert_array_equal(symmetrize(M), [[1.0, 3.0], [3.0, 3.0]])
+
+
+def test_symmetrize_is_bitwise_the_halved_sum_and_leaves_its_input():
+    M = np.random.default_rng(3).normal(size=(9, 9)) * 1e300
+    before = M.copy()
+    np.testing.assert_array_equal(symmetrize(M), 0.5 * (M + M.T), strict=True)
+    np.testing.assert_array_equal(M, before)
 
 
 def test_cholesky_reconstructs_a_well_conditioned_matrix_without_jitter():
@@ -266,3 +280,77 @@ def test_sample_gaussian_is_deterministic_for_a_fixed_generator_state():
     a = sample_gaussian(np.random.default_rng(7), C, 10, C)
     b = sample_gaussian(np.random.default_rng(7), C, 10, C)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 257, 10_000])
+@pytest.mark.parametrize("width", [0, 7, 64, 20_000])
+def test_row_blocks_split_rows_evenly_within_the_block_size(rows, width):
+    blocks = row_blocks(rows, width)
+    sizes = [block.stop - block.start for block in blocks]
+    assert [b.start for b in blocks] == ([0] + [b.stop for b in blocks])[: len(blocks)]
+    assert sum(sizes) == rows and (not blocks or blocks[-1].stop == rows)
+    assert all(size * width <= _BLOCK_ENTRIES or size <= 4 for size in sizes)
+    if rows:
+        assert max(sizes) - min(sizes) <= 1
+        # numpy sends a one-row product to gemv, which rounds unlike gemm.
+        assert len(blocks) == 1 or min(sizes) >= 2
+
+
+# 300 is past the widest root whose draws are split: one product, as before.
+_DRAW_SIZES = (1, 2, 7, 50, 64, 300)
+
+
+def _draw_counts(n):
+    """No draw, one draw, one block of rows less one, one block, one more, 10000."""
+    rows = _BLOCK_ENTRIES // n
+    return (0, 1, rows - 1, rows, rows + 1, 10_000)
+
+
+def _one_shot_mismatches(n, count):
+    """What of blocked draws differs from the one-shot product of all normals."""
+    root = np.linalg.cholesky(random_spd(n, n))
+    blocked, one_shot = np.random.default_rng(n), np.random.default_rng(n)
+    draws = normals_times(blocked, root, count)
+    expected = one_shot.standard_normal((count, n)) @ root.T
+    found = []
+    if draws.shape != expected.shape or draws.tobytes() != expected.tobytes():
+        found.append("draws")
+    if blocked.bit_generator.state != one_shot.bit_generator.state:
+        found.append("generator state")
+    return found
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_draws_are_bitwise_the_one_shot_product_under_one_and_two_blas_threads(
+    threads,
+):
+    src = str(Path(kernelbridge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, str(Path(__file__).parent), env.get("PYTHONPATH")])
+    )
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = threads
+    code = (
+        "import test_linalg as t\n"
+        "print([(n, c) for n in t._DRAW_SIZES for c in t._draw_counts(n)"
+        " if t._one_shot_mismatches(n, c)])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n,count", [(7, 10_000), (50, 10_000), (64, 3_000)])
+def test_sampling_holds_the_draws_and_one_block_of_normals(n, count):
+    C = random_spd(n, n)
+    tracemalloc.start()
+    try:
+        draws = sample_gaussian(np.random.default_rng(0), C, count, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The n x n work (covariance, eigenvectors, root) is a few n^2 floats.
+    assert peak < draws.nbytes + 8 * _BLOCK_ENTRIES + 8 * 8 * n * n + 16_384

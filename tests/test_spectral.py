@@ -279,6 +279,14 @@ def test_sampling_is_bitwise_deterministic_in_the_seed():
     )
 
 
+def test_samples_are_bitwise_the_normals_times_the_scaled_basis():
+    # 10000 draws of 5 terms span several blocks of normals.
+    eig = nystrom_eigensystem(Matern(alpha=1.5, h=0.8), make_nodes(19, 30))
+    basis = eig.eigenfunctions_at_nodes[:, :5] * np.sqrt(eig.eigenvalues[:5])[None, :]
+    z = np.random.default_rng(8).standard_normal((10_000, 5))
+    np.testing.assert_array_equal(kl_sample(eig, 5, 10_000, seed=8), z @ basis.T, strict=True)
+
+
 def test_full_series_samples_match_the_kernel_covariance():
     kernel = Matern(alpha=1.5, h=0.8)
     nodes = make_nodes(20, 5)
