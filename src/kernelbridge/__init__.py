@@ -14,7 +14,7 @@ The usual entry points:
   flat text grammar used by the CLI;
 - :mod:`kernelbridge.gp` and :mod:`kernelbridge.krr` for the two
   regression faces;
-- :mod:`kernelbridge.duality` for worst-case-error identities;
+- :mod:`kernelbridge.duality` for the worst-case-error identity;
 - :mod:`kernelbridge.spectral` for Nystrom eigensystems, power kernels,
   and truncated expansions;
 - :mod:`kernelbridge.embeddings`, :mod:`kernelbridge.quadrature`, and

@@ -213,11 +213,7 @@ def _cmd_regress(args):
     if args.mode == "gp":
         predictions = gp_predictions
     elif args.mode == "both":
-        discrepancy = (
-            float(np.max(np.abs(predictions - gp_predictions)))
-            if queries.shape[0]
-            else 0.0
-        )
+        discrepancy = float(np.max(np.abs(predictions - gp_predictions), initial=0.0))
         body["discrepancy"] = discrepancy
         if discrepancy > _BOTH_MODE_TOLERANCE:
             exit_code = 1

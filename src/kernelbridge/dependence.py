@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import BrownianDistance, Kernel, as_points, gram
+from .kernels import Kernel, as_points, gram
 from .linalg import sample_gaussian
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "hsic_empirical",
     "hsic_gp_exact",
     "hsic_gp_monte_carlo",
-    "brownian_dcov",
 ]
 
 
@@ -119,9 +118,3 @@ def hsic_gp_monte_carlo(
     estimate = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(draws))
     return estimate, se
-
-
-def brownian_dcov(sample: PairedSample) -> float:
-    """Squared sample distance covariance between the two coordinates."""
-    k = BrownianDistance()
-    return hsic_empirical(k, k, sample)

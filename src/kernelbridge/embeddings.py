@@ -61,12 +61,6 @@ class DiscreteMeasure:
     def m(self) -> int:
         return self.atoms.shape[0]
 
-    def is_probability(self, tolerance: float = 1e-10) -> bool:
-        return bool(
-            np.all(self.weights >= -tolerance)
-            and abs(float(self.weights.sum()) - 1.0) <= tolerance
-        )
-
 
 def mean_embed(kernel: Kernel, measure: DiscreteMeasure) -> RepresenterFunction:
     """Embed a discrete measure: ``mu(x) = sum_i w_i k(x, a_i)``."""
@@ -97,9 +91,7 @@ def _signed_union(P: DiscreteMeasure, Q: DiscreteMeasure):
                 coeffs.append(sign * weight)
             else:
                 coeffs[slot] += sign * weight
-    if not rows:
-        return np.zeros((0, P.atoms.shape[1])), np.zeros(0)
-    return np.vstack(rows), np.asarray(coeffs)
+    return np.array(rows, dtype=float).reshape(-1, P.atoms.shape[1]), np.asarray(coeffs)
 
 
 def mmd(kernel: Kernel, P: DiscreteMeasure, Q: DiscreteMeasure) -> float:

@@ -311,6 +311,19 @@ def test_lambda_zero_is_the_noise_free_case_of_both_mode(capsys, dataset_csv):
     assert both["predictions"] == json.loads(out)["predictions"]
 
 
+def test_both_mode_with_no_queries_reports_a_zero_discrepancy(
+    capsys, dataset_csv, tmp_path
+):
+    queries = write_csv(tmp_path / "q.csv", "x1", [])
+    code, out, err = _regress(
+        capsys, dataset_csv, "both", "--lambda", "0.05", "--queries", queries
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["discrepancy"] == 0.0
+    assert payload["predictions"] == []
+
+
 def test_ridge_mode_at_lambda_zero_interpolates(capsys, dataset_csv):
     code, out, err = _regress(capsys, dataset_csv, "krr", "--lambda", "0")
     assert code == 0, err

@@ -7,7 +7,6 @@ import _oracles as oracles
 from kernelbridge import dependence
 from kernelbridge.dependence import (
     PairedSample,
-    brownian_dcov,
     hsic_empirical,
     hsic_gp_exact,
     hsic_gp_monte_carlo,
@@ -207,7 +206,8 @@ def test_monte_carlo_needs_at_least_two_draws():
 def test_distance_covariance_vanishes_for_a_constant_coordinate():
     rng = np.random.default_rng(9)
     sample = PairedSample(rng.normal(size=(6, 1)), np.full((6, 1), 2.0))
-    assert brownian_dcov(sample) == pytest.approx(0.0, abs=1e-14)
+    value = hsic_empirical(BrownianDistance(), BrownianDistance(), sample)
+    assert value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_distance_covariance_of_a_perfect_linear_relation():
@@ -216,7 +216,7 @@ def test_distance_covariance_of_a_perfect_linear_relation():
     sample = PairedSample(
         np.array([[0.0], [1.0], [2.0]]), np.array([[0.0], [2.0], [4.0]])
     )
-    value = brownian_dcov(sample)
+    value = hsic_empirical(BrownianDistance(), BrownianDistance(), sample)
     assert value == pytest.approx(80.0 / 81.0, rel=1e-12)
     assert value == pytest.approx(
         oracles.dcov_loops(sample.X, sample.Y), rel=1e-12
@@ -226,7 +226,7 @@ def test_distance_covariance_of_a_perfect_linear_relation():
 def test_distance_covariance_matches_the_loop_oracle_on_random_data():
     for seed in range(4):
         sample = random_sample(30 + seed, 7, dx=2, dy=2)
-        value = brownian_dcov(sample)
+        value = hsic_empirical(BrownianDistance(), BrownianDistance(), sample)
         expected = oracles.dcov_loops(sample.X, sample.Y)
         assert value == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
@@ -237,5 +237,5 @@ def test_distance_covariance_agrees_with_the_brownian_kernel_statistic():
     # matrix and the two statistics coincide
     sample = random_sample(40, 9)
     via_kernel = hsic_empirical(BrownianDistance(), BrownianDistance(), sample)
-    direct = brownian_dcov(sample)
-    assert direct == pytest.approx(via_kernel, rel=1e-8, abs=1e-12)
+    direct = oracles.dcov_loops(sample.X, sample.Y)
+    assert via_kernel == pytest.approx(direct, rel=1e-8, abs=1e-12)

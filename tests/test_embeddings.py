@@ -52,14 +52,6 @@ def test_point_mass_and_uniform_constructors():
     np.testing.assert_array_equal(u.weights, np.full(4, 0.25))
 
 
-def test_probability_check_accepts_simplex_weights_only():
-    atoms = np.array([[0.0], [1.0]])
-    assert DiscreteMeasure(atoms, [0.5, 0.5]).is_probability()
-    assert not DiscreteMeasure(atoms, [0.7, 0.4]).is_probability()
-    assert not DiscreteMeasure(atoms, [1.5, -0.5]).is_probability()
-    assert DiscreteMeasure(atoms, [0.5 + 1e-12, 0.5]).is_probability()
-
-
 def test_measure_validation():
     with pytest.raises(InputError):
         DiscreteMeasure(np.array([[0.0], [1.0]]), [1.0])
