@@ -7,8 +7,12 @@ coordinates. The same number is the expected squared covariance between
 ``f(X)`` and ``g(Y)`` under independent centered Gaussian processes with
 covariances ``K`` and ``L``, which gives both an exact evaluation through
 a second matrix route and a Monte Carlo estimator that samples the two
-processes. With the distance-induced kernel on both sides the statistic
-is the squared sample distance covariance.
+processes. The estimator holds the draws of ``f`` whole and reduces those
+of ``g`` block by block as they are drawn: ``g``'s normals follow all of
+``f``'s in the one generator's stream, so ``f`` must be drawn in full
+first, while each block of ``g`` meets only its own rows of ``f``. With
+the distance-induced kernel on both sides the statistic is the squared
+sample distance covariance.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import Kernel, as_points, gram
-from .linalg import sample_gaussian
+from .kernels import Kernel, as_count, as_points, gram
+from .linalg import covariance_root, draw_blocks, sample_gaussian
 
 __all__ = [
     "PairedSample",
@@ -106,14 +110,21 @@ def hsic_gp_monte_carlo(
     covariance ``((H f) . (H g) / n)^2``. Directions with no variance
     carry exactly zero, so a constant sample yields an estimate of
     exactly ``0.0``. Returns ``(estimate, standard_error)``.
+
+    The draws of ``g`` are never held whole: each block is reduced against
+    its rows of ``f`` as it is drawn, with the bits of drawing ``g`` whole
+    with :func:`sample_gaussian`.
     """
     n, K, L, H = _grams(kernel_x, kernel_y, sample)
+    draws = as_count(draws)
     if draws < 2:
         raise InputError("at least two draws are needed for a standard error")
     rng = np.random.default_rng(seed)
     fc = sample_gaussian(rng, H @ K @ H, draws, K)
-    gc = sample_gaussian(rng, H @ L @ H, draws, L)
-    covariances = np.einsum("ij,ij->i", fc, gc) / n
+    covariances = np.empty(draws)
+    for rows, gc in draw_blocks(rng, covariance_root(H @ L @ H, L), draws):
+        covariances[rows] = np.einsum("ij,ij->i", fc[rows], gc)
+    covariances /= n
     samples = covariances * covariances
     estimate = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(draws))

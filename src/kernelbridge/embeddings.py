@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import Kernel, RepresenterFunction, as_point, as_points, as_values, gram
+from .kernels import Kernel, RepresenterFunction, as_count, as_points, as_values, gram
 from .linalg import factor_system, sample_gaussian
 
 __all__ = [
@@ -45,10 +45,6 @@ class DiscreteMeasure:
         w = as_values(self.weights, A.shape[0], "weights", "atoms")
         object.__setattr__(self, "atoms", A)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def point_mass(cls, x) -> "DiscreteMeasure":
-        return cls(as_point(x)[None, :], np.ones(1))
 
     @classmethod
     def uniform(cls, atoms) -> "DiscreteMeasure":
@@ -128,6 +124,7 @@ def verify_average_case(
     averages the squared scalar; for identical measures the coefficient
     vector is zero and the estimate is exactly 0.0.
     """
+    draws = as_count(draws)
     if draws < 2:
         raise InputError("the Monte-Carlo check needs at least 2 draws")
     K_pp = gram(kernel, P.atoms, P.atoms)
@@ -142,7 +139,7 @@ def verify_average_case(
     K_union = gram(kernel, atoms, atoms)
     gp_variance = float(coeffs @ K_union @ coeffs)
     rng = np.random.default_rng(seed)
-    f_draws = sample_gaussian(rng, K_union, int(draws), K_union)
+    f_draws = sample_gaussian(rng, K_union, draws, K_union)
     samples = (f_draws @ coeffs) ** 2
     mc_estimate = float(samples.mean())
     mc_se = float(samples.std(ddof=1) / math.sqrt(len(samples)))

@@ -28,12 +28,17 @@ verify reports stay byte-identical.
 Large arrays are produced in row blocks of at most ``_BLOCK_ENTRIES``
 float64 entries (2^14, 128 KiB), so their temporaries stay in cache and
 few fresh pages are faulted in; :func:`row_blocks` splits the rows.
-:func:`normals_times`, the one product of standard normals with a root,
-draws the normals into one reused block and multiplies each block into its
-slice of the result: the normals are the values of one
-``rng.standard_normal((count, r))`` call, in the same order, and the
-generator ends in the same state. :func:`kernelbridge.kernels.gram` fills
-its result one row block at a time.
+:func:`draw_blocks` is the one product of standard normals with a root. It
+draws the normals into one reused block and multiplies each block by the
+root; the normals are the values of one ``rng.standard_normal((count, r))``
+call, in the same order, and the generator ends in the same state.
+:func:`normals_times` has it write each block into its slice of the whole
+result. A caller that needs only a reduction of the draws takes each block
+in a second reused buffer and reduces it there, so no ``count x n`` array
+of draws exists: the HSIC Monte Carlo check does this for its second
+process. :func:`covariance_root` is the one root of a sampled covariance
+and owns the clamp rule. :func:`kernelbridge.kernels.gram`
+fills its result one row block at a time.
 
 Blocks split the rows evenly and never hold a single row, because OpenBLAS
 rounds a product of a few rows by other kernels (numpy sends one row to
@@ -107,23 +112,41 @@ def row_blocks(rows: int, width: int) -> list:
     return [slice(i * rows // count, (i + 1) * rows // count) for i in range(count)]
 
 
-def normals_times(rng: np.random.Generator, root: np.ndarray, count: int) -> np.ndarray:
-    """``rng.standard_normal((count, r)) @ root.T`` for an ``(n, r)`` root.
+def draw_blocks(
+    rng: np.random.Generator, root: np.ndarray, count: int, out: np.ndarray | None = None
+):
+    """Yield ``(rows, draws)``, the rows of ``standard_normal((count, r)) @ root.T``.
 
-    For ``r`` up to ``_DRAW_WIDTH`` the normals are drawn into one reused
-    block and each block is multiplied into its slice of the result, so no
-    ``count x r`` array of normals exists; see the module docstring for the
+    For an ``(n, r)`` root of at most ``_DRAW_WIDTH`` columns the rows come
+    in the blocks of :func:`row_blocks`, otherwise in one block. The normals
+    are drawn into one reused block; the draws are written into
+    ``out[rows]`` when ``out`` is given, else into a second reused block,
+    valid until the next one is drawn. See the module docstring for the
     bits this keeps.
     """
     width = root.shape[1]
-    out = np.empty((count, root.shape[0]))
     blocks = row_blocks(count, width) if width <= _DRAW_WIDTH else [slice(0, count)]
-    if blocks:
-        block = np.empty((-(-count // len(blocks)), width))
-        for rows in blocks:
-            z = block[: rows.stop - rows.start]
-            rng.standard_normal(out=z)
-            np.matmul(z, root.T, out=out[rows])
+    if not blocks:
+        return
+    size = -(-count // len(blocks))
+    normals = np.empty((size, width))
+    reused = np.empty((size, root.shape[0])) if out is None else None
+    for rows in blocks:
+        z = normals[: rows.stop - rows.start]
+        rng.standard_normal(out=z)
+        target = reused[: len(z)] if out is None else out[rows]
+        yield rows, np.matmul(z, root.T, out=target)
+
+
+def normals_times(rng: np.random.Generator, root: np.ndarray, count: int) -> np.ndarray:
+    """``rng.standard_normal((count, r)) @ root.T`` for an ``(n, r)`` root.
+
+    The blocks of :func:`draw_blocks` are written straight into their
+    slices of the result, so no ``count x r`` array of normals exists.
+    """
+    out = np.empty((count, root.shape[0]))
+    for _ in draw_blocks(rng, root, count, out):
+        pass
     return out
 
 
@@ -288,25 +311,32 @@ def nonnegative(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def sample_gaussian(
-    rng: np.random.Generator,
-    covariance: np.ndarray,
-    count: int,
-    reference: np.ndarray,
-) -> np.ndarray:
-    """Draw ``count`` vectors from N(0, covariance) by eigendecomposition.
+def covariance_root(covariance: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """A root ``R`` of the clamped covariance, ``R @ R.T``, by eigendecomposition.
 
     Eigenvalues below ``JITTER_INITIAL * trace/n`` of the ``reference``
     matrix (the covariance itself, or the Gram matrix it was derived from)
     are set to zero, so degenerate directions carry exactly zero sample
     mass. This is what makes identities such as "a measure minus itself has
     Monte-Carlo estimate exactly 0" hold bitwise rather than to tolerance.
+    The 0 x 0 covariance has the 0 x 0 root.
     """
     cov = symmetrize(np.asarray(covariance, dtype=float))
     n = cov.shape[0]
     if n == 0:
-        return np.zeros((count, 0))
+        return cov
     clamp = JITTER_INITIAL * float(np.trace(reference)) / n
     lam, vec = np.linalg.eigh(cov)
     lam = np.where(lam < max(clamp, 0.0), 0.0, lam)
-    return normals_times(rng, vec * np.sqrt(lam)[None, :], count)
+    return vec * np.sqrt(lam)[None, :]
+
+
+def sample_gaussian(
+    rng: np.random.Generator,
+    covariance: np.ndarray,
+    count: int,
+    reference: np.ndarray,
+) -> np.ndarray:
+    """Draw ``count`` vectors from N(0, covariance): the normals times
+    :func:`covariance_root` of the covariance, clamped by ``reference``."""
+    return normals_times(rng, covariance_root(covariance, reference), count)

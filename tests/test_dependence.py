@@ -1,9 +1,16 @@
 """Empirical dependence measures and their process-average counterparts."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import _oracles as oracles
+import kernelbridge
 from kernelbridge import dependence
 from kernelbridge.dependence import (
     PairedSample,
@@ -20,6 +27,7 @@ from kernelbridge.kernels import (
     Scaled,
     SquaredExponential,
 )
+from kernelbridge.linalg import _BLOCK_ENTRIES, sample_gaussian
 
 
 def random_sample(seed, n, dx=1, dy=1):
@@ -196,6 +204,88 @@ def test_monte_carlo_needs_at_least_two_draws():
         hsic_gp_monte_carlo(
             SquaredExponential(), SquaredExponential(), random_sample(8, 5), draws=1
         )
+
+
+@pytest.mark.parametrize(
+    "draws,message",
+    [
+        (2.5, "^sample count must be an integer$"),
+        ("10", "^sample count must be an integer$"),
+        (True, "^sample count must be an integer$"),
+        (-3, "^sample count must be nonnegative$"),
+        (1, "^at least two draws are needed for a standard error$"),
+    ],
+)
+def test_monte_carlo_draws_are_a_sample_count_of_at_least_two(draws, message):
+    k, sample = SquaredExponential(), random_sample(8, 5)
+    with pytest.raises(InputError, match=message):
+        hsic_gp_monte_carlo(k, k, sample, draws=draws)
+    ten = hsic_gp_monte_carlo(k, k, sample, draws=np.int64(10), seed=3)
+    assert ten == hsic_gp_monte_carlo(k, k, sample, draws=10, seed=3)
+
+
+_MC_SIZES = (2, 7, 50, 64, 80)
+
+
+def _mc_draw_counts(n):
+    """Two draws, one block of rows less one, one block, one more, 10000."""
+    rows = _BLOCK_ENTRIES // n
+    return (2, rows - 1, rows, rows + 1, 10_000)
+
+
+def _two_array_mismatches(n, draws):
+    """Whether the estimate differs from drawing f and g whole, then reducing."""
+    kx, ky = SquaredExponential(gamma=0.9), Matern(alpha=1.5, h=0.7)
+    sample = random_sample(n, n)
+    K = dependence.gram(kx, sample.X, sample.X)
+    L = dependence.gram(ky, sample.Y, sample.Y)
+    H = np.eye(n) - np.full((n, n), 1.0 / n)
+    rng = np.random.default_rng(draws)
+    fc = sample_gaussian(rng, H @ K @ H, draws, K)
+    gc = sample_gaussian(rng, H @ L @ H, draws, L)
+    covariances = np.einsum("ij,ij->i", fc, gc) / n
+    samples = covariances * covariances
+    expected = (float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(draws)))
+    found = hsic_gp_monte_carlo(kx, ky, sample, draws, seed=draws)
+    return np.array(found).tobytes() != np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_monte_carlo_is_bitwise_the_two_array_formula_under_one_and_two_blas_threads(
+    threads,
+):
+    src = str(Path(kernelbridge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, str(Path(__file__).parent), env.get("PYTHONPATH")])
+    )
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = threads
+    code = (
+        "import test_dependence as t\n"
+        "print([(n, d) for n in t._MC_SIZES for d in t._mc_draw_counts(n)"
+        " if t._two_array_mismatches(n, d)])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_monte_carlo_holds_one_process_draws_and_a_few_blocks():
+    n, draws = 50, 10_000
+    kx, ky = SquaredExponential(gamma=0.9), Matern(alpha=1.5, h=0.7)
+    sample = random_sample(9, n)
+    tracemalloc.start()
+    try:
+        hsic_gp_monte_carlo(kx, ky, sample, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # f's draws whole, g's normals and draws one block each, the per-draw
+    # vectors (under a block each), and a few n x n matrices (K, L, H, roots).
+    assert peak < 8 * draws * n + 4 * 8 * _BLOCK_ENTRIES + 16 * 8 * n * n + 16_384
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ def random_measure(seed, m, d=1, signed=False):
 
 
 def test_point_mass_and_uniform_constructors():
-    p = DiscreteMeasure.point_mass([0.5])
+    p = DiscreteMeasure([[0.5]], [1.0])
     assert p.m == 1
     np.testing.assert_array_equal(p.weights, [1.0])
     u = DiscreteMeasure.uniform(np.array([[0.0], [1.0], [2.0], [3.0]]))
@@ -68,7 +68,7 @@ def test_measure_validation():
 
 def test_point_mass_embedding_is_a_kernel_section():
     kernel = Matern(alpha=1.5, h=0.6)
-    embedding = mean_embed(kernel, DiscreteMeasure.point_mass([0.3]))
+    embedding = mean_embed(kernel, DiscreteMeasure([[0.3]], [1.0]))
     for q in (-0.5, 0.0, 0.8):
         assert embedding(np.array([q])) == pytest.approx(
             kernel_eval(kernel, 0.3, q), rel=1e-14
@@ -114,9 +114,7 @@ def test_mmd_between_a_measure_and_its_copy_is_exactly_zero():
 def test_mmd_between_point_masses_has_a_closed_form():
     kernel = Matern(alpha=0.5, h=0.8)
     x, y = np.array([0.1]), np.array([0.9])
-    value = mmd(
-        kernel, DiscreteMeasure.point_mass(x), DiscreteMeasure.point_mass(y)
-    )
+    value = mmd(kernel, DiscreteMeasure([x], [1.0]), DiscreteMeasure([y], [1.0]))
     expected = math.sqrt(
         kernel_eval(kernel, x, x)
         - 2.0 * kernel_eval(kernel, x, y)
@@ -208,8 +206,8 @@ def test_two_point_report_matches_the_closed_form():
     x, y = np.array([0.2]), np.array([0.7])
     report = verify_average_case(
         kernel,
-        DiscreteMeasure.point_mass(x),
-        DiscreteMeasure.point_mass(y),
+        DiscreteMeasure([x], [1.0]),
+        DiscreteMeasure([y], [1.0]),
         draws=40_000,
         seed=1,
     )
@@ -252,6 +250,24 @@ def test_average_case_check_needs_at_least_two_draws():
             random_measure(14, 2),
             draws=1,
         )
+
+
+@pytest.mark.parametrize(
+    "draws,message",
+    [
+        (10.7, "^sample count must be an integer$"),
+        ("10", "^sample count must be an integer$"),
+        (True, "^sample count must be an integer$"),
+        (-3, "^sample count must be nonnegative$"),
+        (1, "^the Monte-Carlo check needs at least 2 draws$"),
+    ],
+)
+def test_average_case_draws_are_a_sample_count_of_at_least_two(draws, message):
+    P, Q = random_measure(13, 2), random_measure(14, 2)
+    with pytest.raises(InputError, match=message):
+        verify_average_case(SquaredExponential(), P, Q, draws=draws)
+    ten = verify_average_case(SquaredExponential(), P, Q, draws=np.int64(10), seed=3)
+    assert ten == verify_average_case(SquaredExponential(), P, Q, draws=10, seed=3)
 
 
 # ----------------------------------------------------------------------

@@ -570,7 +570,7 @@ _PER_POINT_VALUES = [
         "nodes",
         lambda v: bq_posterior(
             kq_weights(
-                SquaredExponential(), _TWO_POINTS, DiscreteMeasure.point_mass([0.5])
+                SquaredExponential(), _TWO_POINTS, DiscreteMeasure([[0.5]], [1.0])
             ),
             v,
         ),
