@@ -37,9 +37,7 @@ from .kernels import (
     KroneckerDelta,
     Matern,
     Polynomial,
-    Product,
     RepresenterFunction,
-    Scaled,
     SquaredExponential,
     Sum,
     format_kernel,
@@ -62,8 +60,6 @@ __all__ = [
     "KroneckerDelta",
     "BrownianDistance",
     "Sum",
-    "Product",
-    "Scaled",
     "Dataset",
     "RepresenterFunction",
     "gram",

@@ -1,8 +1,8 @@
 """Positive definite kernel families and Gram-matrix assembly.
 
 A kernel is an immutable descriptor object. Pointwise evaluation goes
-through :func:`eval`, matrix assembly through :func:`gram`. Kernels compose
-with :class:`Sum`, :class:`Product` and :class:`Scaled`.
+through :func:`eval`, matrix assembly through :func:`gram`. :class:`Sum` is
+the one combinator: the noise-augmented kernel of the worst-case identity.
 
 Conventions
 -----------
@@ -96,8 +96,6 @@ __all__ = [
     "KroneckerDelta",
     "BrownianDistance",
     "Sum",
-    "Product",
-    "Scaled",
     "Dataset",
     "RepresenterFunction",
     "eval",
@@ -233,7 +231,7 @@ class Kernel:
     """Base class for kernel descriptors.
 
     Subclasses implement ``_gram`` on validated ``(n, d)`` arrays, returning
-    a new array that shares no memory with its inputs (the composites write
+    a new array that shares no memory with its inputs (:class:`Sum` writes
     into it); the public entry points :func:`eval` and :func:`gram` handle
     coercion and shape checks. ``e`` is the power-of-two scaling exponent
     of the whole point sets when ``A`` is a row block of them, and ``None``
@@ -431,45 +429,6 @@ class Sum(Kernel):
         return out
 
 
-@dataclass(frozen=True)
-class Product(Kernel):
-    """Pointwise product of two kernels."""
-
-    left: Kernel
-    right: Kernel
-
-    def __post_init__(self):
-        _require_param(
-            isinstance(self.left, Kernel) and isinstance(self.right, Kernel),
-            "Product operands must be kernels",
-        )
-
-    def _gram(self, A, B, e=None):
-        out = self.left._gram(A, B, e)
-        out *= self.right._gram(A, B, e)
-        return out
-
-
-@dataclass(frozen=True)
-class Scaled(Kernel):
-    """A kernel multiplied by a positive constant."""
-
-    base: Kernel
-    factor: float
-
-    def __post_init__(self):
-        _require_param(isinstance(self.base, Kernel), "Scaled base must be a kernel")
-        _require_param(
-            np.isfinite(self.factor) and self.factor > 0,
-            "Scaled factor must be positive and finite",
-        )
-
-    def _gram(self, A, B, e=None):
-        out = self.base._gram(A, B, e)
-        out *= self.factor
-        return out
-
-
 def eval(kernel: Kernel, x, y) -> float:
     """Evaluate ``k(x, y)`` for two d-vectors."""
     xv = as_point(x)
@@ -565,8 +524,8 @@ class RepresenterFunction:
 # --- flat text form -------------------------------------------------------
 #
 # The CLI's kernel grammar is `family` or `family:key=value,key=value`.
-# Only leaf families are representable; Sum/Product/Scaled cannot be
-# spelled in a flat string and stay API-only.
+# Only leaf families are representable; a Sum cannot be spelled in a flat
+# string and stays API-only.
 
 _TEXT_FAMILIES = {
     "se": (SquaredExponential, {"gamma": float}),

@@ -1,5 +1,4 @@
-"""Kernel and Bayesian quadrature, fill distance, and the contraction
-experiment.
+"""Kernel and Bayesian quadrature.
 
 A quadrature rule approximates ``integral of f against P`` by
 ``sum_i w_i f(x_i)``. The kernel-optimal weights solve
@@ -21,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedOperationError
-from . import gp
+from .errors import InputError
 from .duality import IdentityReport
 from .embeddings import DiscreteMeasure, mean_embed, mmd
-from .kernels import Dataset, Kernel, Matern, _pairwise_dist, as_point, as_points
-from .kernels import as_values, gram
+from .kernels import Kernel, as_points, as_values, gram
 from .linalg import cholesky_with_jitter, factor_system, nonnegative, shift_diagonal
 
 __all__ = [
@@ -34,9 +31,6 @@ __all__ = [
     "kq_weights",
     "bq_posterior",
     "verify_bq_kq_identity",
-    "fill_distance",
-    "ContractionReport",
-    "variance_contraction_experiment",
 ]
 
 
@@ -126,121 +120,3 @@ def verify_bq_kq_identity(rule: QuadratureRule) -> IdentityReport:
     discrepancy = mmd(rule.kernel, node_measure, rule.target)
     rhs = discrepancy * discrepancy
     return IdentityReport(lhs=variance, rhs=rhs, gap=abs(variance - rhs))
-
-
-def fill_distance(domain_lo, domain_hi, X, x, rho: float, resolution: float) -> float:
-    """Brute-force local fill distance near ``x``.
-
-    Grids the axis-aligned box ``[lo, hi]`` at the given resolution, keeps
-    the grid points within distance ``rho`` of ``x``, and returns the
-    largest distance from a kept point to its nearest node. Converges to
-    the true supremum from below as the resolution shrinks.
-    """
-    lo = as_point(domain_lo)
-    hi = as_point(domain_hi)
-    nodes = as_points(X)
-    xv = as_point(x)
-    d = lo.shape[0]
-    if hi.shape[0] != d or xv.shape[0] != d or nodes.shape[1] != d:
-        raise InputError("domain corners, nodes and query must share a dimension")
-    if np.any(hi < lo):
-        raise InputError("domain upper corner must dominate the lower corner")
-    if not np.isfinite(rho) or rho <= 0:
-        raise InputError("rho must be positive and finite")
-    if not np.isfinite(resolution) or resolution <= 0:
-        raise InputError("resolution must be positive and finite")
-    axes = []
-    for k in range(d):
-        count = int(np.floor((hi[k] - lo[k]) / resolution)) + 1
-        axis = lo[k] + resolution * np.arange(count)
-        if axis[-1] < hi[k] - 1e-12 * max(1.0, abs(hi[k])):
-            axis = np.append(axis, hi[k])
-        axes.append(axis)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    inside = np.linalg.norm(candidates - xv[None, :], axis=1) <= rho
-    candidates = candidates[inside]
-    if candidates.shape[0] == 0:
-        raise InputError(
-            "no grid points fall inside the domain within rho of the query"
-        )
-    dists = _pairwise_dist(candidates, nodes)
-    return float(dists.min(axis=1).max())
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Log-log fit of posterior variance against fill distance."""
-
-    grid_sizes: tuple
-    fill_distances: tuple
-    variances: tuple
-    slope: float
-    theoretical_exponent: float
-
-
-def variance_contraction_experiment(
-    kernel: Kernel,
-    domain_lo: float,
-    domain_hi: float,
-    x: float,
-    grid_sizes,
-    rho: float = 0.25,
-    resolution: float | None = None,
-) -> ContractionReport:
-    """Posterior-variance decay against fill distance on midpoint grids.
-
-    For each grid size ``n`` the noise-free posterior variance at ``x`` is
-    recorded together with the local fill distance (brute force, shared
-    ``rho`` and ``resolution``), and a least-squares slope of
-    ``log variance`` against ``log h`` is fitted. For a Matern kernel of
-    order ``alpha`` in one dimension the variance is bounded by a constant
-    times ``h^{2 alpha}``, so the reference exponent reported alongside the
-    slope is ``2 alpha``.
-
-    On the finest grids the variance is a subtraction close to ``k(x, x)``:
-    its relative accuracy is about ``eps (1 + ||w||_1)^2 k(x, x) / v`` with
-    ``w = K^{-1} k_X(x)``. For ``Matern(alpha=2.5, h=0.3)`` on ``[0, 1]`` at
-    ``x = 0.37`` and ``n = 128`` that is ``2.8e-6``, so the slope's digits
-    beyond about ``1e-7`` relative depend on the BLAS build and its thread
-    count.
-
-    Only one-dimensional domains and Matern kernels are supported; fewer
-    than three grid sizes cannot support a slope and raise
-    :class:`InputError`.
-    """
-    if not isinstance(kernel, Matern):
-        raise UnsupportedOperationError(
-            "the contraction experiment is defined for Matern kernels"
-        )
-    lo = float(domain_lo)
-    hi = float(domain_hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-        raise InputError("domain must be a nondegenerate interval")
-    sizes = [int(n) for n in grid_sizes]
-    if len(sizes) < 3:
-        raise InputError("at least three grid sizes are needed to fit a slope")
-    if any(n < 1 for n in sizes):
-        raise InputError("grid sizes must be positive")
-    span = hi - lo
-    step = span / 4096.0 if resolution is None else float(resolution)
-    prior = gp.GPPrior(kernel)
-    h_values = []
-    variances = []
-    for n in sizes:
-        grid = lo + span * (np.arange(n) + 0.5) / n
-        post = gp.condition(prior, Dataset(grid, np.zeros(n)), 0.0)
-        variance = gp.posterior_cov(post, [x], [x])
-        h = fill_distance([lo], [hi], grid, [x], rho, step)
-        h_values.append(h)
-        variances.append(variance)
-    logs_h = np.log(h_values)
-    logs_v = np.log(np.maximum(variances, 1e-300))
-    slope = float(np.polyfit(logs_h, logs_v, 1)[0])
-    return ContractionReport(
-        grid_sizes=tuple(sizes),
-        fill_distances=tuple(float(v) for v in h_values),
-        variances=tuple(float(v) for v in variances),
-        slope=slope,
-        theoretical_exponent=2.0 * kernel.alpha,
-    )

@@ -101,10 +101,9 @@ def nystrom_eigensystem(kernel: Kernel, nodes, node_weights=None) -> EigenSystem
 
 
 def _check_truncation(eig: EigenSystem, truncation: int) -> int:
-    r = int(truncation)
-    if r < 1 or r > eig.n:
+    if not 1 <= truncation <= eig.n:
         raise InputError(f"truncation must lie in [1, {eig.n}], got {truncation}")
-    return r
+    return as_count(truncation)
 
 
 def mercer_kernel_eval(eig: EigenSystem, truncation: int, i: int, j: int) -> float:

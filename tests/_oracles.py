@@ -18,8 +18,6 @@ from kernelbridge.kernels import (
     KroneckerDelta,
     Matern,
     Polynomial,
-    Product,
-    Scaled,
     SquaredExponential,
     Sum,
 )
@@ -58,10 +56,6 @@ def kernel_value(kernel, x, y) -> float:
         return vector_norm(x) + vector_norm(y) - euclidean(x, y)
     if isinstance(kernel, Sum):
         return kernel_value(kernel.left, x, y) + kernel_value(kernel.right, x, y)
-    if isinstance(kernel, Product):
-        return kernel_value(kernel.left, x, y) * kernel_value(kernel.right, x, y)
-    if isinstance(kernel, Scaled):
-        return kernel.factor * kernel_value(kernel.base, x, y)
     raise TypeError(f"no oracle for kernel type {type(kernel).__name__}")
 
 
@@ -229,3 +223,19 @@ def product_moment_se(cov_ii: float, cov_jj: float, cov_ij: float, count: int) -
     ``cov_ii cov_jj + cov_ij^2``.
     """
     return math.sqrt((cov_ii * cov_jj + cov_ij**2) / count)
+
+
+def fill_distance_grid(lo, hi, nodes, x, rho, resolution) -> float:
+    """Brute-force local fill distance on the line, from below.
+
+    The largest distance to the nearest node over the lattice points
+    ``lo + k resolution`` of ``[lo, hi]``, and ``hi`` itself, that lie
+    within ``rho`` of ``x``. Once the window is at least ``resolution`` long
+    every point of it lies within ``resolution`` of a kept lattice point, so
+    the true supremum exceeds this value by at most ``resolution``.
+    """
+    nodes = [float(v) for v in np.ravel(nodes)]
+    lattice = [lo + resolution * k for k in range(math.floor((hi - lo) / resolution) + 1)]
+    if lattice[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+        lattice.append(hi)
+    return max(min(abs(t - v) for v in nodes) for t in lattice if abs(t - x) <= rho)

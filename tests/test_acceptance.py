@@ -15,13 +15,11 @@ from kernelbridge.kernels import (
     KroneckerDelta,
     Matern,
     Polynomial,
-    Scaled,
     SquaredExponential,
     Sum,
     gram,
 )
-from kernelbridge.experiments import rate_experiment
-from kernelbridge.quadrature import variance_contraction_experiment
+from kernelbridge.experiments import rate_experiment, variance_contraction_experiment
 from kernelbridge.reporting import strip_wall_time
 from kernelbridge.spectral import kl_sample, nystrom_eigensystem, power_kernel
 from kernelbridge.suites import run_suite
@@ -33,7 +31,7 @@ SPECTRAL_FAMILIES = [
     Matern(alpha=2.5, h=1.1),
     Polynomial(degree=2, c=0.5),
     KroneckerDelta(scale=1.0),
-    Sum(SquaredExponential(gamma=1.0), Scaled(Matern(alpha=0.5, h=0.9), 0.5)),
+    Sum(SquaredExponential(gamma=1.0), Matern(alpha=0.5, h=0.9)),
 ]
 
 

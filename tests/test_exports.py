@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -33,15 +34,17 @@ def test_the_package_exports_exactly_what_it_imports():
     assert set(kernelbridge.__all__) == defined
 
 
-# Library entry points that the README documents for direct use, and that
-# no CLI command reaches. Each must exist and stay unreached from
-# ``cli.main``, so the list cannot go stale.
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Library entry points that the README names for direct use, and that no
+# CLI command reaches. Each must exist, stay unreached from ``cli.main`` and
+# be named in backticks in the README, so the list cannot go stale.
 ENTRY_POINTS = {
     ("cli", "entrypoint"): "the `kernelbridge` console script and `python3 -m`",
-    ("kernels", "Product"): "a combinator of the library table with no text form",
-    ("kernels", "Scaled"): "a combinator of the library table with no text form",
-    ("quadrature", "variance_contraction_experiment"): "an acceptance experiment",
+    ("experiments", "variance_contraction_experiment"): "an acceptance experiment",
     ("reporting", "strip_wall_time"): "wall-time stripping of the library table",
+    # Its identity is a Monte Carlo one, which the acceptance test checks;
+    # verify --suite all is already bound by its random stream.
     ("spectral", "kl_sample"): "series sampling, a Monte Carlo identity no suite runs",
     ("gp", "posterior_mean"): "called in the README's Python session",
     ("spectral", "mercer_kernel_eval"): "kernel reconstruction; no spectral suite yet",
@@ -120,3 +123,8 @@ def test_every_entry_point_exists_and_is_not_reached_from_the_cli():
     from_cli = _reached(edges, [("cli", "main")])
     assert [key for key in ENTRY_POINTS if key not in edges] == []
     assert [key for key in ENTRY_POINTS if key in from_cli] == []
+
+
+def test_every_entry_point_is_named_in_the_readme():
+    named = set(re.findall(r"`(?:[\w.]+\.)?(\w+)`", README.read_text("utf-8")))
+    assert [f"{m}.{name}" for m, name in ENTRY_POINTS if name not in named] == []

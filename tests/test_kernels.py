@@ -18,6 +18,7 @@ from kernelbridge import duality, gp, kernels, krr
 from kernelbridge.duality import worst_case_error
 from kernelbridge.embeddings import DiscreteMeasure, verify_average_case
 from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
+from kernelbridge.experiments import rate_experiment, variance_contraction_experiment
 from kernelbridge.gp import GPPrior, sample_prior
 from kernelbridge.kernels import (
     BrownianDistance,
@@ -26,9 +27,7 @@ from kernelbridge.kernels import (
     KroneckerDelta,
     Matern,
     Polynomial,
-    Product,
     RepresenterFunction,
-    Scaled,
     SquaredExponential,
     Sum,
     eval as kernel_eval,
@@ -38,7 +37,12 @@ from kernelbridge.kernels import (
 )
 from kernelbridge.linalg import _BLOCK_ENTRIES, row_blocks
 from kernelbridge.quadrature import bq_posterior, kq_weights
-from kernelbridge.spectral import kl_sample, nystrom_eigensystem
+from kernelbridge.spectral import (
+    hs_inclusion_diagnostic,
+    kl_sample,
+    mercer_kernel_eval,
+    nystrom_eigensystem,
+)
 
 LEAF_FAMILIES = [
     SquaredExponential(gamma=0.7),
@@ -52,8 +56,8 @@ LEAF_FAMILIES = [
 
 COMPOSITE_FAMILIES = [
     Sum(SquaredExponential(gamma=0.8), Matern(alpha=1.5, h=0.5)),
-    Product(SquaredExponential(gamma=1.2), Polynomial(degree=1, c=1.0)),
-    Scaled(Matern(alpha=0.5, h=0.9), factor=2.5),
+    Sum(Polynomial(degree=1, c=1.0), KroneckerDelta(scale=2.5)),
+    Sum(Matern(alpha=0.5, h=0.9), BrownianDistance()),
 ]
 
 
@@ -166,9 +170,9 @@ def test_eval_rejects_non_finite_input():
         lambda: Polynomial(degree=0, c=0.0),
         lambda: Polynomial(degree=2, c=-0.1),
         lambda: KroneckerDelta(scale=-1.0),
-        lambda: Scaled(SquaredExponential(), factor=0.0),
+        lambda: KroneckerDelta(scale=np.inf),
         lambda: Sum(SquaredExponential(), "not a kernel"),
-        lambda: Product("not a kernel", SquaredExponential()),
+        lambda: Sum("not a kernel", SquaredExponential()),
     ],
 )
 def test_invalid_hyperparameters_are_rejected(build):
@@ -223,10 +227,8 @@ def test_composite_grams_equal_their_componentwise_combinations():
         gram(Sum(left, right), X, X), gram(left, X, X) + gram(right, X, X)
     )
     np.testing.assert_array_equal(
-        gram(Product(left, right), X, X), gram(left, X, X) * gram(right, X, X)
-    )
-    np.testing.assert_array_equal(
-        gram(Scaled(left, 2.5), X, X), 2.5 * gram(left, X, X)
+        gram(Sum(Sum(left, right), left), X, X),
+        gram(left, X, X) + gram(right, X, X) + gram(left, X, X),
     )
 
 
@@ -254,11 +256,7 @@ def reference_gram(kernel, A, B):
         na = np.linalg.norm(A, axis=1)
         nb = np.linalg.norm(B, axis=1)
         return na[:, None] + nb[None, :] - np.sqrt(sq)
-    if isinstance(kernel, Sum):
-        return reference_gram(kernel.left, A, B) + reference_gram(kernel.right, A, B)
-    if isinstance(kernel, Product):
-        return reference_gram(kernel.left, A, B) * reference_gram(kernel.right, A, B)
-    return kernel.factor * reference_gram(kernel.base, A, B)
+    return reference_gram(kernel.left, A, B) + reference_gram(kernel.right, A, B)
 
 
 @pytest.mark.parametrize("kernel", LEAF_FAMILIES + COMPOSITE_FAMILIES)
@@ -377,6 +375,39 @@ def test_matern_grams_stay_finite_and_bounded_across_the_float_range(alpha, d, d
         K = gram(Matern(alpha=alpha, h=1.0), A, B)
     assert np.all(np.isfinite(K))
     assert np.all((K >= 0.0) & (K <= 1.0))
+
+
+# Length scales log-uniform in 1e-300..1e300.
+_WIDE_SCALE = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+
+# Every leaf family but the polynomial, whose value leaves the float range by
+# design, and the one combinator.
+_WIDE_LEAF = st.one_of(
+    _WIDE_SCALE.map(lambda gamma: SquaredExponential(gamma=gamma)),
+    _WIDE_SCALE.map(lambda h: Matern(alpha=2.5, h=h)),
+    st.just(BrownianDistance()),
+    _WIDE_SCALE.map(lambda scale: KroneckerDelta(scale=scale)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    kernel=_WIDE_LEAF | st.builds(Sum, _WIDE_LEAF, _WIDE_LEAF),
+    d=st.sampled_from((1, 2, 3)),
+    data=st.data(),
+)
+def test_grams_stay_finite_symmetric_and_psd_across_the_float_range(kernel, d, data):
+    A = data.draw(
+        st.lists(
+            st.lists(_WIDE_COORDINATE, min_size=d, max_size=d), min_size=1, max_size=5
+        )
+    )
+    with np.errstate(over="ignore"):
+        K = gram(kernel, A, A)
+    assert np.all(np.isfinite(K))
+    np.testing.assert_array_equal(K, K.T)
+    trace = np.trace(K)
+    assert np.linalg.eigvalsh(K).min() >= -8 * np.finfo(float).eps * trace
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -617,6 +648,52 @@ def test_sample_counts_are_integers_at_least_zero(sampler):
         draw(True)
     with pytest.raises(InputError, match="^sample count must be nonnegative$"):
         draw(-1)
+
+
+_THREE_NODES = nystrom_eigensystem(SquaredExponential(), [[0.0], [1.0], [2.0]])
+_RATES_KERNEL = Matern(alpha=1.5, h=0.2)
+
+# Counts and sizes outside the samplers, each with a valid value: a
+# truncation, a replication count and grid sizes may be 1, sample sizes
+# increase from at least 2.
+_COUNTS = {
+    "kl_sample truncation": (lambda v: kl_sample(_THREE_NODES, v, 2, seed=0), 1),
+    "mercer_kernel_eval truncation": (
+        lambda v: mercer_kernel_eval(_THREE_NODES, v, 0, 1),
+        1,
+    ),
+    "hs_inclusion_diagnostic truncation": (
+        lambda v: hs_inclusion_diagnostic(_THREE_NODES, 0.5, v),
+        1,
+    ),
+    "rate_experiment sizes": (
+        lambda v: rate_experiment(
+            "matern32-mix", _RATES_KERNEL, sizes=(16, 32, v), replications=1
+        ),
+        64,
+    ),
+    "rate_experiment replications": (
+        lambda v: rate_experiment(
+            "matern32-mix", _RATES_KERNEL, sizes=(16, 32, 64), replications=v
+        ),
+        1,
+    ),
+    "variance_contraction_experiment grid sizes": (
+        lambda v: variance_contraction_experiment(
+            Matern(alpha=0.5, h=0.3), 0.0, 1.0, 0.37, (v, 16, 32)
+        ),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", _COUNTS)
+def test_every_count_and_size_is_an_integer(site):
+    call, valid = _COUNTS[site]
+    call(np.int64(valid))
+    for value in [valid + 0.9, True] if valid == 1 else [valid + 0.9]:
+        with pytest.raises(InputError, match="^sample count must be an integer$"):
+            call(value)
 
 
 def test_each_primitive_has_one_implementation():

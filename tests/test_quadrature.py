@@ -6,6 +6,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from kernelbridge.embeddings import DiscreteMeasure, mean_embed
@@ -16,13 +18,8 @@ from kernelbridge.kernels import (
     eval as kernel_eval,
     gram,
 )
-from kernelbridge.quadrature import (
-    bq_posterior,
-    fill_distance,
-    kq_weights,
-    variance_contraction_experiment,
-    verify_bq_kq_identity,
-)
+from kernelbridge.experiments import fill_distance, variance_contraction_experiment
+from kernelbridge.quadrature import bq_posterior, kq_weights, verify_bq_kq_identity
 
 
 def two_node_rule(lam=0.0):
@@ -251,51 +248,84 @@ def test_variance_identity_requires_an_unregularized_rule():
 
 
 def test_fill_distance_of_the_three_point_cover_of_the_unit_interval():
-    value = fill_distance(
-        [0.0], [1.0], np.array([[0.0], [0.5], [1.0]]), [0.5], 1.0, 1.0 / 1024.0
-    )
-    assert value == pytest.approx(0.25, abs=1e-12)
+    value = fill_distance(0.0, 1.0, np.array([[0.0], [0.5], [1.0]]), 0.5, 1.0)
+    assert value == 0.25
 
 
 def test_fill_distance_is_bounded_by_the_radius_when_the_query_is_a_node():
     # with the query itself among the nodes, no point of the ball is farther
     # from the node set than the ball radius
     X = np.array([[0.0], [0.37], [1.0]])
-    value = fill_distance([0.0], [1.0], X, [0.37], 0.05, 1e-4)
+    value = fill_distance(0.0, 1.0, X, 0.37, 0.05)
     assert value <= 0.05
 
 
 def test_fill_distance_shrinks_as_nodes_are_added():
     X = np.array([[0.0], [1.0]])
-    coarse = fill_distance([0.0], [1.0], X, [0.5], 1.0, 1e-3)
-    refined = fill_distance(
-        [0.0], [1.0], np.vstack([X, [[0.5]]]), [0.5], 1.0, 1e-3
-    )
+    coarse = fill_distance(0.0, 1.0, X, 0.5, 1.0)
+    refined = fill_distance(0.0, 1.0, np.vstack([X, [[0.5]]]), 0.5, 1.0)
     assert refined < coarse
 
 
 def test_fill_distance_grid_refinement_converges_from_below():
-    # halving the step keeps the old grid nested inside the new one, so
-    # the brute-force supremum can only grow toward the true value
-    rng = np.random.default_rng(11)
-    X = rng.uniform(0.0, 1.0, (4, 2))
-    coarse = fill_distance([0.0, 0.0], [1.0, 1.0], X, [0.5, 0.5], 0.75, 0.25)
-    fine = fill_distance([0.0, 0.0], [1.0, 1.0], X, [0.5, 0.5], 0.75, 0.125)
-    assert fine >= coarse
+    # halving the step keeps the old lattice nested inside the new one, so
+    # the brute-force supremum can only grow, toward the closed form
+    X = np.random.default_rng(11).uniform(0.0, 1.0, 4)
+    exact = fill_distance(0.0, 1.0, X, 0.5, 0.3)
+    steps = [2.0**-k for k in range(2, 13)]
+    grid = [oracles.fill_distance_grid(0.0, 1.0, X, 0.5, 0.3, step) for step in steps]
+    assert grid == sorted(grid)
+    assert grid[-1] <= exact <= grid[-1] + steps[-1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    nodes=st.lists(st.floats(0.25, 0.75), min_size=1, max_size=8),
+    rho=st.floats(0.05, 0.5),
+    where=st.sampled_from(("inside", "outside", "node", "low end", "high end")),
+    data=st.data(),
+)
+def test_fill_distance_is_within_one_step_above_the_grid_search(nodes, rho, where, data):
+    # Nodes in [0.25, 0.75] of the domain [0, 1]; the query inside their
+    # hull, outside it, on a node, or near enough to a domain end that the
+    # window is clipped there.
+    queries = {
+        "inside": st.floats(min(nodes), max(nodes)),
+        "outside": st.floats(0.0, 0.2) | st.floats(0.8, 1.0),
+        "node": st.sampled_from(nodes),
+        "low end": st.floats(0.0, 0.99 * rho),
+        "high end": st.floats(1.0 - 0.99 * rho, 1.0),
+    }
+    x = data.draw(queries[where])
+    step = 2.0**-10
+    grid = oracles.fill_distance_grid(0.0, 1.0, nodes, x, rho, step)
+    assert grid <= fill_distance(0.0, 1.0, nodes, x, rho) <= grid + step
+
+
+def test_fill_distance_matches_the_grid_search_where_it_holds_every_midpoint():
+    # The midpoint grids of the contraction experiment at powers of two: the
+    # node midpoints k / n lie on the lattice k / 4096 a grid search used.
+    for n in (8, 16, 32, 64, 128):
+        X = (np.arange(n) + 0.5) / n
+        grid = oracles.fill_distance_grid(0.0, 1.0, X, 0.37, 0.25, 1.0 / 4096.0)
+        assert fill_distance(0.0, 1.0, X, 0.37, 0.25) == grid
 
 
 def test_fill_distance_validates_geometry():
     X = np.array([[0.0], [1.0]])
     with pytest.raises(InputError):
-        fill_distance([1.0], [0.0], X, [0.5], 1.0, 0.01)
+        fill_distance(1.0, 0.0, X, 0.5, 1.0)
     with pytest.raises(InputError):
-        fill_distance([0.0], [1.0], X, [0.5], -1.0, 0.01)
+        fill_distance(0.0, 1.0, X, 0.5, -1.0)
     with pytest.raises(InputError):
-        fill_distance([0.0], [1.0], X, [0.5], 1.0, 0.0)
-    with pytest.raises(InputError):
-        fill_distance([0.0, 0.0], [1.0, 1.0], X, [0.5], 1.0, 0.01)
-    with pytest.raises(InputError):
-        fill_distance([0.0], [1.0], X, [9.0], 0.5, 0.01)
+        fill_distance(0.0, 1.0, np.array([[0.0, 0.0]]), 0.5, 1.0)
+    with pytest.raises(InputError, match="^no point of the domain lies within rho"):
+        fill_distance(0.0, 1.0, X, 9.0, 0.5)
+
+
+def test_fill_distance_without_nodes_raises():
+    with pytest.raises(InputError, match="^the fill distance needs at least one node$"):
+        fill_distance(0.0, 1.0, np.empty((0, 1)), 0.5, 0.25)
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +374,15 @@ def test_contraction_experiment_validates_inputs():
         variance_contraction_experiment(
             Matern(alpha=0.5, h=0.5), 1.0, 1.0, 0.5, (8, 16, 32)
         )
+
+
+def test_contraction_fill_distances_are_exact_off_the_grid_search_lattice():
+    # At n = 5 the node midpoints 0.2, 0.4 and 0.6 miss the lattice k / 4096,
+    # where a grid search found 0.0999512 instead of the half-gap 0.1.
+    report = variance_contraction_experiment(
+        Matern(alpha=0.5, h=0.3), 0.0, 1.0, 0.37, (5, 10, 20)
+    )
+    assert report.fill_distances[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_contraction_report_round_trips_to_a_dict():

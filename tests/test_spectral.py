@@ -9,7 +9,6 @@ from kernelbridge.kernels import (
     KroneckerDelta,
     Matern,
     Polynomial,
-    Scaled,
     SquaredExponential,
     Sum,
     gram,
@@ -29,7 +28,7 @@ KERNELS = [
     Matern(alpha=2.5, h=1.1),
     Polynomial(degree=2, c=0.5),
     KroneckerDelta(scale=1.0),
-    Sum(SquaredExponential(gamma=1.0), Scaled(Matern(alpha=0.5, h=0.9), 0.5)),
+    Sum(SquaredExponential(gamma=1.0), Matern(alpha=0.5, h=0.9)),
 ]
 
 
