@@ -113,7 +113,7 @@ def verify_worst_case_identity(
     if data.Y is None:
         # the posterior variance does not depend on Y
         data = Dataset(data.X, np.zeros(data.n))
-    post = gp.condition(gp.GPPrior(kernel), data, noise_variance)
+    post = gp.condition(kernel, data, noise_variance)
     lhs = math.sqrt(gp.posterior_cov(post, xv, xv) + noise_variance)
     augmented = Sum(kernel, KroneckerDelta(noise_variance))
     w = optimal_weights(kernel, data.X, xv, noise_variance)

@@ -22,9 +22,10 @@ m-point error grid with one loop of two sweeps over the inputs, in
 O(n + m) and without an m x n cross-Gram, so the reported digits do not
 depend on the BLAS thread count.
 
-Targets are fixed representer combinations registered by name, which
-keeps their smoothness tied to the kernel family by construction and the
-whole run deterministic for a given seed.
+The target is one bundled function, ``matern32-mix``: a fixed
+combination of five Matern-3/2 representers on ``[0, 1]``, which keeps
+its smoothness tied to the kernel family by construction and the whole
+run deterministic for a given seed.
 
 The contraction experiment fits the noise-free posterior variance at a
 point against the local fill distance ``h`` of midpoint grids. For a
@@ -48,8 +49,6 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
     "RateExperimentResult",
-    "target_function",
-    "target_ids",
     "rate_experiment",
     "DEFAULT_SIZES",
     "DEFAULT_LAMBDA_COEFFICIENT",
@@ -65,32 +64,12 @@ NOISE_STANDARD_DEVIATION = 0.1
 _EVALUATION_GRID_SIZE = 2001
 
 
-def _matern32_mix() -> RepresenterFunction:
-    centers = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
-    coefficients = np.array([1.0, -0.7, 0.5, 1.2, -0.8])
-    return RepresenterFunction(Matern(alpha=1.5, h=0.2), centers, coefficients)
-
-
-_TARGETS = {
-    "matern32-mix": _matern32_mix,
-}
-
-
-def target_ids() -> tuple:
-    """Names of the registered target functions."""
-    return tuple(sorted(_TARGETS))
-
-
-def target_function(target_id: str) -> RepresenterFunction:
-    """Look up a registered target by name."""
-    try:
-        factory = _TARGETS[target_id]
-    except KeyError:
-        known = ", ".join(target_ids())
-        raise InputError(
-            f"unknown target function {target_id!r}; known targets: {known}"
-        ) from None
-    return factory()
+# The bundled target, matern32-mix (see the module docstring).
+_TARGET = RepresenterFunction(
+    Matern(alpha=1.5, h=0.2),
+    np.array([[0.1], [0.3], [0.5], [0.7], [0.9]]),
+    np.array([1.0, -0.7, 0.5, 1.2, -0.8]),
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +83,6 @@ class RateExperimentResult:
 
 
 def rate_experiment(
-    target_id: str,
     kernel: Kernel,
     sizes=DEFAULT_SIZES,
     replications: int = 4,
@@ -114,7 +92,7 @@ def rate_experiment(
     """Measure the error-decay slope of ridge regression on ``[0, 1]``.
 
     For each sample size ``n`` and replication the experiment draws ``n``
-    uniform inputs, evaluates the target, adds centered Gaussian noise
+    uniform inputs, evaluates the bundled target, adds centered Gaussian noise
     with standard deviation 0.1, fits the ridge estimator at
     ``lambda = lambda_coefficient / n`` (all sizes and replications in one
     state-space pass), and records the squared L2 distance to the target
@@ -126,9 +104,6 @@ def rate_experiment(
             "the rate experiment needs a Matern kernel; its order sets the "
             "reference exponent"
         )
-    target = target_function(target_id)
-    if target.centers.shape[1] != 1:
-        raise InputError("rate experiment targets must be one-dimensional")
     sizes = list(sizes)
     if len(sizes) < 3:
         raise InputError("at least three sample sizes are needed to fit a slope")
@@ -144,7 +119,7 @@ def rate_experiment(
         raise InputError("the lambda schedule coefficient must be positive")
 
     grid = np.linspace(0.0, 1.0, _EVALUATION_GRID_SIZE)
-    target_on_grid = target.at(grid)
+    target_on_grid = _TARGET.at(grid)
     X, Y, ridges = [], [], []
     for size_index, n in enumerate(sizes):
         lam = lambda_coefficient / n
@@ -154,7 +129,7 @@ def rate_experiment(
             )
             X.append(rng.uniform(0.0, 1.0, n)[:, None])
             noise = rng.normal(0.0, NOISE_STANDARD_DEVIATION, n)
-            Y.append(target.at(X[-1]) + noise)
+            Y.append(_TARGET.at(X[-1]) + noise)
             ridges.append(n * lam)
     coefficients = statespace.krr_coefficients(kernel, X, Y, ridges)
     del Y  # not needed while the fits are predicted
@@ -262,12 +237,11 @@ def variance_contraction_experiment(
         raise InputError("grid sizes must be positive")
     sizes = [as_count(n) for n in sizes]
     span = hi - lo
-    prior = gp.GPPrior(kernel)
     h_values = []
     variances = []
     for n in sizes:
         grid = lo + span * (np.arange(n) + 0.5) / n
-        post = gp.condition(prior, Dataset(grid, np.zeros(n)), 0.0)
+        post = gp.condition(kernel, Dataset(grid, np.zeros(n)), 0.0)
         variances.append(gp.posterior_cov(post, [x], [x]))
         h_values.append(fill_distance(lo, hi, grid, x, rho))
     logs_h = np.log(h_values)

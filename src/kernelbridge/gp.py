@@ -1,10 +1,11 @@
-"""Gaussian-process priors, sampling, and posterior conditioning.
+"""Gaussian-process sampling and posterior conditioning.
 
-The posterior object stores the :class:`~kernelbridge.linalg.Cholesky` of
+The prior is the zero-mean process with the given kernel as its
+covariance, the GP side of the kernel ridge correspondence. The posterior
+object stores the :class:`~kernelbridge.linalg.Cholesky` of
 ``K_XX + noise * I`` (the lower factor and the jitter its factorization
-needed) and the residual weights ``(K_XX + noise * I)^{-1} (Y - m_X)``;
-every query is a pair of kernel evaluations plus triangular solves against
-that factor.
+needed) and the weights ``(K_XX + noise * I)^{-1} Y``; every query is a
+pair of kernel evaluations plus triangular solves against that factor.
 
 With zero noise, or noise lost to roundoff on every diagonal entry, the
 Gram matrix must pass the numerical invertibility gate of
@@ -17,7 +18,6 @@ the factor is 0 x 0, the sums are empty, and the posterior is the prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "GPPrior",
     "GPPosterior",
     "sample_prior",
     "condition",
@@ -45,67 +44,41 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GPPrior:
-    """A GP prior: a kernel plus a mean function (default zero).
+class GPPosterior:
+    """A conditioned zero-mean GP, stored in factorized form.
 
-    The mean is a callable taking a d-vector and returning a float; ``None``
-    means the zero function.
+    ``cholesky.factor @ cholesky.factor.T`` reconstructs ``K_XX + noise * I``
+    plus ``cholesky.jitter * I``, the jitter the factorization needed, and
+    ``weights`` solves that system against ``Y``.
     """
 
     kernel: Kernel
-    mean: Callable[[np.ndarray], float] | None = None
-
-    def mean_at(self, points) -> np.ndarray:
-        """Evaluate the prior mean at every row of a point set."""
-        P = as_points(points)
-        if self.mean is None:
-            return np.zeros(P.shape[0])
-        values = np.array([float(self.mean(row)) for row in P])
-        if not np.all(np.isfinite(values)):
-            raise InputError("prior mean function returned a non-finite value")
-        return values
-
-
-@dataclass(frozen=True, eq=False)
-class GPPosterior:
-    """A conditioned GP, stored in factorized form.
-
-    ``cholesky.factor @ cholesky.factor.T`` reconstructs
-    ``K_XX + noise_variance * I`` plus ``cholesky.jitter * I``, the jitter the
-    factorization needed, and ``residual_weights`` solves that system
-    against ``Y - m_X``.
-    """
-
-    prior: GPPrior
     X: np.ndarray
     cholesky: Cholesky
-    residual_weights: np.ndarray
-    noise_variance: float
+    weights: np.ndarray
 
 
-def sample_prior(prior: GPPrior, X, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` joint samples of the prior at the rows of ``X``.
+def sample_prior(kernel: Kernel, X, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` joint samples of the zero-mean prior at the rows of ``X``.
 
-    Each returned row is ``m_X + L u`` with ``u`` standard normal and ``L``
-    the (jittered, if necessary) lower Cholesky factor of the Gram matrix.
+    Each returned row is ``L u`` with ``u`` standard normal and ``L`` the
+    (jittered, if necessary) lower Cholesky factor of the Gram matrix.
     Deterministic for a fixed seed.
     """
     P = as_points(X)
     count = as_count(count)
-    K = gram(prior.kernel, P, P)
+    K = gram(kernel, P, P)
     # Ungated: prior draws on duplicated inputs are legal, and only L is used.
     L = cholesky_with_jitter(K, name="K_XX").factor
-    draws = normals_times(np.random.default_rng(seed), L, count)
-    draws += prior.mean_at(P)
-    return draws
+    return normals_times(np.random.default_rng(seed), L, count)
 
 
-def condition(prior: GPPrior, data: Dataset, noise_variance: float) -> GPPosterior:
-    """Condition a GP prior on observed data.
+def condition(kernel: Kernel, data: Dataset, noise_variance: float) -> GPPosterior:
+    """Condition the zero-mean GP prior with covariance ``kernel`` on data.
 
     The posterior mean and covariance are
 
-    ``m(x) + k_xX (K_XX + s2 I)^{-1} (Y - m_X)`` and
+    ``k_xX (K_XX + s2 I)^{-1} Y`` and
     ``k(x, x') - k_xX (K_XX + s2 I)^{-1} k_Xx'``.
 
     With ``noise_variance == 0``, or a noise variance that leaves every
@@ -117,21 +90,14 @@ def condition(prior: GPPrior, data: Dataset, noise_variance: float) -> GPPosteri
         raise InputError("noise variance must be nonnegative and finite")
     if data.Y is None:
         raise InputError("conditioning requires a dataset with outputs")
-    K = gram(prior.kernel, data.X, data.X)
+    K = gram(kernel, data.X, data.X)
     chol = factor_system(K, noise_variance, name="K_XX")
-    weights = chol.solve(data.Y - prior.mean_at(data.X))
-    return GPPosterior(
-        prior=prior,
-        X=data.X,
-        cholesky=chol,
-        residual_weights=weights,
-        noise_variance=float(noise_variance),
-    )
+    return GPPosterior(kernel, data.X, chol, chol.solve(data.Y))
 
 
-def _cross(post: GPPosterior, points: np.ndarray) -> np.ndarray:
+def _cross(post: GPPosterior, points) -> np.ndarray:
     """Kernel matrix between query points and the training inputs."""
-    return gram(post.prior.kernel, points, post.X)
+    return gram(post.kernel, points, post.X)
 
 
 def posterior_mean(post: GPPosterior, x) -> float:
@@ -141,8 +107,7 @@ def posterior_mean(post: GPPosterior, x) -> float:
 
 def posterior_mean_at(post: GPPosterior, points) -> np.ndarray:
     """Posterior mean at every row of a point set."""
-    P = as_points(points)
-    return post.prior.mean_at(P) + _cross(post, P) @ post.residual_weights
+    return _cross(post, points) @ post.weights
 
 
 def posterior_cov_raw(post: GPPosterior, x, y) -> float:
@@ -156,7 +121,7 @@ def posterior_cov_raw(post: GPPosterior, x, y) -> float:
     """
     xv = as_point(x)
     yv = as_point(y)
-    k_xy = kernel_value(post.prior.kernel, xv, yv)
+    k_xy = kernel_value(post.kernel, xv, yv)
     a = _solve_lower(post.cholesky.factor, _cross(post, xv[None, :]).T)[:, 0]
     if xv.tobytes() == yv.tobytes():
         # The same point: b would be a again, bit for bit.

@@ -357,10 +357,11 @@ class Polynomial(Kernel):
         )
 
     def _gram(self, A, B, e=None):
-        out = A @ B.T
-        out += self.c
-        # An overflow leaves inf, which linalg rejects with a named error.
-        with np.errstate(over="ignore"):
+        # An overflow leaves inf, or nan where infinities of both signs meet
+        # in the dot product, and linalg rejects either with a named error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = A @ B.T
+            out += self.c
             out **= self.degree
         return out
 

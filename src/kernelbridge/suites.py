@@ -10,8 +10,10 @@ suite's salt is its position in the suite table, counted from 1, so new
 suites go at the end.
 
 Monte Carlo cross-checks (average-case variance, process-covariance
-dependence) ride along as extra rows whose tolerance is five standard
-errors: statistical in principle, but deterministic for a fixed seed.
+dependence) ride along as extra rows whose tolerance is five exact
+standard errors, ``5 sqrt(Var s / draws)`` with ``Var s`` the closed-form
+variance of one draw's value, computed from the process side's matrices:
+statistical in principle, but deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _variance_query(rng, kernel: Kernel, X: np.ndarray):
     function class, making the posterior variance identically zero; those
     instances (and near-node queries under smooth kernels) find none.
     """
-    post = gp.condition(gp.GPPrior(kernel), Dataset(X, np.zeros(X.shape[0])), 0.0)
+    post = gp.condition(kernel, Dataset(X, np.zeros(X.shape[0])), 0.0)
     for _ in range(50):
         x = rng.uniform(-0.25, 1.25, X.shape[1])
         if bool(np.any(np.all(X == x[None, :], axis=1))):
@@ -175,7 +177,7 @@ def _gp_krr(key: tuple):
     lam = float(10.0 ** rng.uniform(-3.0, 0.0))
     queries = rng.uniform(-0.2, 1.2, (20, d))
     data = Dataset(X, Y)
-    post = gp.condition(gp.GPPrior(kernel), data, n * lam)
+    post = gp.condition(kernel, data, n * lam)
     gp_values = gp.posterior_mean_at(post, queries)
     krr_values = krr.fit_krr(kernel, data, lam).at(queries)
     worst = int(np.argmax(np.abs(gp_values - krr_values)))
@@ -217,7 +219,9 @@ def _mmd_average_case(key: tuple):
         "Q_weights": Q.weights,
     }
     yield "-exact", payload, report.mmd_squared, report.gp_variance, 1e-10
-    yield "-mc", payload, report.mc_estimate, report.mmd_squared, 5.0 * report.mc_se
+    # One draw's value is (c^T f)^2, c^T K_Z c times a chi-squared(1) variable.
+    spread = math.sqrt(2.0 * report.gp_variance**2 / _MC_DRAWS)
+    yield "-mc", payload, report.mc_estimate, report.mmd_squared, 5.0 * spread
 
 
 def _bq_kq(key: tuple):
@@ -257,8 +261,8 @@ def _hsic_gp(key: tuple):
     exact = hsic_gp_exact(kx, ky, sample)
     yield "-exact", payload, exact, hsic_empirical(kx, ky, sample), 1e-10
     mc_seed = int(rng.integers(0, 2**63))
-    estimate, se = hsic_gp_monte_carlo(kx, ky, sample, _MC_DRAWS, mc_seed)
-    yield "-mc", payload, estimate, exact, 5.0 * se
+    estimate, _, spread = hsic_gp_monte_carlo(kx, ky, sample, _MC_DRAWS, mc_seed)
+    yield "-mc", payload, estimate, exact, 5.0 * spread
 
 
 def _shrinkage_bayes(key: tuple):

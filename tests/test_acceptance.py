@@ -187,8 +187,8 @@ def test_shrinkage_posterior_match(capsys):
 
 def test_regression_rate_band(capsys):
     start = time.perf_counter()
-    first = rate_experiment("matern32-mix", Matern(alpha=1.5, h=0.2), seed=0)
-    second = rate_experiment("matern32-mix", Matern(alpha=1.5, h=0.2), seed=0)
+    first = rate_experiment(Matern(alpha=1.5, h=0.2), seed=0)
+    second = rate_experiment(Matern(alpha=1.5, h=0.2), seed=0)
     elapsed = time.perf_counter() - start
     deviation = abs(first.fitted_slope - first.theoretical_slope)
     deterministic = (

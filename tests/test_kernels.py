@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 import kernelbridge
-from kernelbridge import duality, gp, kernels, krr
+from kernelbridge import duality, gp, kernels, krr, linalg
 from kernelbridge.duality import worst_case_error
 from kernelbridge.embeddings import DiscreteMeasure, verify_average_case
 from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
 from kernelbridge.experiments import rate_experiment, variance_contraction_experiment
-from kernelbridge.gp import GPPrior, sample_prior
+from kernelbridge.gp import sample_prior
 from kernelbridge.kernels import (
     BrownianDistance,
     Dataset,
@@ -35,7 +35,7 @@ from kernelbridge.kernels import (
     gram,
     parse_kernel,
 )
-from kernelbridge.linalg import _BLOCK_ENTRIES, row_blocks
+from kernelbridge.linalg import _BLOCK_ENTRIES, factor_system, row_blocks
 from kernelbridge.quadrature import bq_posterior, kq_weights
 from kernelbridge.spectral import (
     hs_inclusion_diagnostic,
@@ -429,6 +429,35 @@ def test_matern_grams_off_the_line_match_the_line_bitwise(alpha, x, y, log_h):
     np.testing.assert_array_equal(in_space, on_line, strict=True)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    degree=st.integers(1, 4),
+    c=st.sampled_from((0.0, 0.5, 2.0)),
+    d=st.sampled_from((1, 2, 3)),
+    data=st.data(),
+)
+def test_polynomial_grams_are_finite_and_symmetric_or_named_as_not_finite(
+    degree, c, d, data
+):
+    # The polynomial's value leaves the float range by design, so across the
+    # range its Gram is either finite or rejected by name where it is used.
+    # pyproject.toml turns any RuntimeWarning that escapes into an error.
+    A = data.draw(
+        st.lists(
+            st.lists(_WIDE_COORDINATE, min_size=d, max_size=d), min_size=1, max_size=5
+        )
+    )
+    K = gram(Polynomial(degree=degree, c=c), A, A)
+    if np.all(np.isfinite(K)):
+        np.testing.assert_array_equal(K, K.T)
+        return
+    message = "^K_XX has a non-finite entry$"
+    with pytest.raises(NumericalError, match=message):
+        linalg.require_invertible(K, name="K_XX")
+    with pytest.raises(NumericalError, match=message):
+        factor_system(K, 0.0, name="K_XX")
+
+
 def test_polynomial_overflow_gives_inf_without_a_warning():
     # linalg names the non-finite entry; numpy has nothing to add.
     K = gram(Polynomial(degree=3), [[1e120]], [[1e120]])
@@ -631,7 +660,7 @@ def test_per_point_values_name_the_length_and_finiteness_errors(what, per, build
 
 _SAMPLERS = {
     "gp.sample_prior": lambda count: sample_prior(
-        GPPrior(SquaredExponential()), np.zeros((2, 1)), count, seed=0
+        SquaredExponential(), np.zeros((2, 1)), count, seed=0
     ),
     "spectral.kl_sample": lambda count: kl_sample(
         nystrom_eigensystem(SquaredExponential(), [[0.0], [1.0]]), 2, count, seed=0
@@ -667,15 +696,11 @@ _COUNTS = {
         1,
     ),
     "rate_experiment sizes": (
-        lambda v: rate_experiment(
-            "matern32-mix", _RATES_KERNEL, sizes=(16, 32, v), replications=1
-        ),
+        lambda v: rate_experiment(_RATES_KERNEL, sizes=(16, 32, v), replications=1),
         64,
     ),
     "rate_experiment replications": (
-        lambda v: rate_experiment(
-            "matern32-mix", _RATES_KERNEL, sizes=(16, 32, 64), replications=v
-        ),
+        lambda v: rate_experiment(_RATES_KERNEL, sizes=(16, 32, 64), replications=v),
         1,
     ),
     "variance_contraction_experiment grid sizes": (

@@ -7,7 +7,7 @@ import pytest
 
 import _oracles as oracles
 from kernelbridge.errors import InputError, NumericalError
-from kernelbridge.gp import GPPrior, condition, posterior_mean, posterior_mean_at
+from kernelbridge.gp import condition, posterior_mean, posterior_mean_at
 from kernelbridge.kernels import (
     BrownianDistance,
     Dataset,
@@ -99,7 +99,7 @@ def test_an_empty_dataset_gives_zero_on_both_sides(lam):
     empty = Dataset(np.zeros((0, 2)), np.zeros(0))
     queries = np.array([[0.1, 0.2], [-0.7, 0.4], [3.0, 0.0]])
     ridge = fit_krr(kernel, empty, lam).at(queries)
-    post = condition(GPPrior(kernel), empty, empty.n * lam)
+    post = condition(kernel, empty, empty.n * lam)
     mean = posterior_mean_at(post, queries)
     np.testing.assert_array_equal(ridge, np.zeros(3), strict=True)
     np.testing.assert_array_equal(mean, np.zeros(3), strict=True)
@@ -179,7 +179,7 @@ def test_ridge_fit_equals_the_posterior_mean_with_matched_noise(kernel):
     data = make_data(9, 12, d=2)
     lam = 0.03
     estimator = fit_krr(kernel, data, lam)
-    post = condition(GPPrior(kernel), data, noise_variance=12 * lam)
+    post = condition(kernel, data, noise_variance=12 * lam)
     queries = rng.uniform(-1.0, 1.0, (20, 2))
     for q in queries:
         assert estimator(q) == pytest.approx(
@@ -193,7 +193,7 @@ def test_the_equivalence_survives_duplicated_inputs():
     data = Dataset(X, Y)
     lam = 0.1
     estimator = fit_krr(SquaredExponential(), data, lam)
-    post = condition(GPPrior(SquaredExponential()), data, noise_variance=3 * lam)
+    post = condition(SquaredExponential(), data, noise_variance=3 * lam)
     for q in np.linspace(-0.5, 1.0, 7):
         assert estimator(np.array([q])) == pytest.approx(
             posterior_mean(post, np.array([q])), abs=1e-8
@@ -206,7 +206,7 @@ def test_the_interpolant_equals_the_noise_free_posterior_mean():
     X = rng.uniform(0.1, 2.0, (6, 1))
     data = Dataset(X, rng.normal(size=6))
     estimator = fit_krr(kernel, data, 0.0)
-    post = condition(GPPrior(kernel), data, noise_variance=0.0)
+    post = condition(kernel, data, noise_variance=0.0)
     for q in rng.uniform(0.1, 2.0, (10, 1)):
         assert estimator(q) == pytest.approx(
             posterior_mean(post, q), abs=1e-8

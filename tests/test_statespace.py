@@ -48,7 +48,7 @@ def test_coefficients_match_the_dense_krr_and_gp_formulas(alpha, h, ridge, n):
     cond = (n + ridge) / ridge
     assert np.linalg.norm(c - dense) <= 16.0 * cond * EPS * np.linalg.norm(dense)
     grid = np.linspace(-0.1, 1.1, 41)
-    posterior = gp.condition(gp.GPPrior(kernel), data, ridge)
+    posterior = gp.condition(kernel, data, ridge)
     np.testing.assert_allclose(
         gram(kernel, grid, X) @ c,
         gp.posterior_mean_at(posterior, grid),
@@ -180,14 +180,13 @@ def test_the_rate_experiment_builds_no_training_gram_and_factors_nothing(monkeyp
             return _inner(*args)
 
         monkeypatch.setattr(statespace, name, counting)
-    centers = experiments.target_function("matern32-mix").centers
+    centers = experiments._TARGET.centers
     grid_size = experiments._EVALUATION_GRID_SIZE
+    kernel = Matern(alpha=1.5, h=0.2)
     for sizes in ((16, 32, 64), (8, 16, 32, 64, 128)):
         calls.clear()
         passes.clear()
-        experiments.rate_experiment(
-            "matern32-mix", Matern(alpha=1.5, h=0.2), sizes=sizes, replications=2
-        )
+        experiments.rate_experiment(kernel, sizes=sizes, replications=2)
         # One state-space pass of each kind serves all sizes and replications.
         assert passes == ["krr_coefficients", "predict"]
         assert calls

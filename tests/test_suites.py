@@ -37,6 +37,14 @@ def test_every_suite_passes_its_own_cases(name):
         assert case.passed, asdict(case)
 
 
+def test_monte_carlo_rows_are_judged_by_the_exact_standard_error():
+    # hsic-gp-0014-mc is 4.10 exact standard errors out at this seed, and
+    # 5.13 sample standard errors: the sample spread runs low with the
+    # estimate of a heavy-tailed value.
+    cases = run_suite("hsic-gp", seed=597673764, trials=15)
+    assert [case.case_id for case in cases if not case.passed] == []
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_case_records_are_internally_consistent(name):
     for case in run_suite(name, seed=1, trials=3):
