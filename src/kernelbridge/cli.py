@@ -292,9 +292,10 @@ def _cmd_hsic(args):
         "gp_exact": hsic_gp_exact(kx, ky, sample),
     }
     if args.draws is not None:
-        estimate, se, _ = hsic_gp_monte_carlo(kx, ky, sample, args.draws, args.seed)
+        estimate, se, exact_se = hsic_gp_monte_carlo(kx, ky, sample, args.draws, args.seed)
         body["mc_estimate"] = estimate
         body["mc_se"] = se
+        body["mc_exact_se"] = exact_se
         body["seed"] = args.seed
     return body, 0
 

@@ -17,13 +17,24 @@ set, passes the gate and factors to the 0 x 0 factor, so the GP, ridge,
 worst-case and quadrature callers run their general formulas at n = 0 with
 no branch of their own.
 
+Gating and factoring hold the matrix plus one working copy. The gate hands
+a bitwise symmetric matrix to ``eigvalsh`` as it is, and the factorization
+is a left-looking blocked Cholesky that overwrites one copy of its input
+(``np.linalg.cholesky`` would hold its own work buffer and a separate
+output). It runs over column blocks of ``_BLOCK``, factoring each diagonal
+block with ``np.linalg.cholesky`` and solving the panel below it with
+``np.linalg.solve``; a blocked Cholesky is as backward stable as the
+unblocked one (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 10). At n up to one block it is a single ``np.linalg.cholesky`` call.
+
 Solves against a Cholesky factor are blocked triangular substitutions in
 plain numpy: O(n^2) work per right-hand side, rather than a pivoted LU of
 the already triangular factor. The diagonal blocks are solved with
 ``np.linalg.solve``; at n up to one block (64) each triangle is a single
 ``np.linalg.solve`` on the whole factor. The block must stay at least the
 largest n a verify suite draws (50, in :mod:`kernelbridge.suites`), so that
-verify reports stay byte-identical.
+verify reports, whose factorizations and solves are then single calls,
+stay byte-identical.
 
 Large arrays are produced in row blocks of at most ``_BLOCK_ENTRIES``
 float64 entries (2^14, 128 KiB), so their temporaries stay in cache and
@@ -67,8 +78,8 @@ JITTER_CEILING = 1e-6
 # number, after the baseline jitter, stays below this.
 CONDITION_LIMIT = 1e12
 
-# Column block of the triangular substitutions; at least the largest suite n
-# (see the module docstring).
+# Column block of the factorization and the triangular substitutions; at
+# least the largest suite n (see the module docstring).
 _BLOCK = 64
 
 # Entries in one row block of a large array (see the module docstring). At
@@ -169,12 +180,40 @@ def _require_finite(matrix: np.ndarray, name: str) -> None:
         raise NumericalError(f"{name} has a non-finite entry")
 
 
+def _factor_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the symmetric ``a`` with its lower Cholesky factor and return it.
+
+    Left-looking over column blocks of ``_BLOCK``: each block column takes
+    the product of the finished columns to its left off itself, its diagonal
+    block is factored with ``np.linalg.cholesky``, the panel below is solved
+    against that factor, and the entries above the block are zeroed. Only
+    the lower triangle is read. Raises ``np.linalg.LinAlgError`` when a
+    diagonal block is not positive definite, leaving ``a`` part-factored.
+    """
+    n = a.shape[0]
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        if s:
+            a[s:, s:e] -= a[s:, :s] @ a[s:e, :s].T
+        diagonal = np.linalg.cholesky(a[s:e, s:e])
+        a[s:e, s:e] = diagonal
+        if e < n:
+            a[e:, s:e] = np.linalg.solve(diagonal, a[e:, s:e].T).T
+        a[:s, s:e] = 0.0
+    return a
+
+
 def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     """Lower Cholesky factor of a PSD matrix, with escalating diagonal jitter.
 
     The first attempt adds nothing. On failure, ``1e-12 * trace/n`` is added
     to the diagonal and escalated by factors of 10 up to ``1e-6 * trace/n``,
     after which a :class:`NumericalError` naming the matrix is raised.
+
+    Each attempt factors one working copy in place (see the module
+    docstring), so the call holds the input and one n x n array; the input
+    is not modified. Up to n = ``_BLOCK`` the factor is bit for bit
+    ``np.linalg.cholesky`` of the (jittered) input.
 
     Returns
     -------
@@ -184,7 +223,7 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     a = np.asarray(matrix, dtype=float)
     _require_finite(a, name)
     try:
-        return Cholesky(np.linalg.cholesky(a), 0.0)
+        return Cholesky(_factor_in_place(np.array(a)), 0.0)
     except np.linalg.LinAlgError:
         pass
     base = float(np.trace(a)) / a.shape[0]
@@ -197,7 +236,7 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
     ceiling = JITTER_CEILING * base
     while jitter <= ceiling * (1.0 + 1e-12):
         try:
-            return Cholesky(np.linalg.cholesky(shift_diagonal(a, jitter)), jitter)
+            return Cholesky(_factor_in_place(shift_diagonal(a, jitter)), jitter)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError(
@@ -249,9 +288,17 @@ def spd_stats(matrix: np.ndarray):
     Returns ``(lam_min_effective, lam_max, cond)`` where the effective
     smallest eigenvalue includes the baseline jitter ``1e-12 * trace/n``.
     The 0 x 0 matrix gives ``(inf, 0.0, 1.0)``: the smallest of no
-    eigenvalues is +inf, so the gate accepts it.
+    eigenvalues is +inf, so the gate accepts it. A matrix whose trace
+    overflows has no baseline, and gets an infinite condition number.
+
+    A bitwise symmetric matrix goes to ``eigvalsh`` as it is, with no copy;
+    any other is averaged with its transpose first. Averaging gives a
+    symmetric matrix back bit for bit unless ``x + x`` overflows (entries
+    above half the largest float), so below that no value moves.
     """
-    a = symmetrize(np.asarray(matrix, dtype=float))
+    a = np.asarray(matrix, dtype=float)
+    if not np.array_equal(a, a.T):
+        a = symmetrize(a)
     n = a.shape[0]
     if n == 0:
         return np.inf, 0.0, 1.0
@@ -259,7 +306,7 @@ def spd_stats(matrix: np.ndarray):
     baseline = JITTER_INITIAL * float(np.trace(a)) / n
     lam_min = float(lam[0]) + max(baseline, 0.0)
     lam_max = float(lam[-1])
-    if lam_min <= 0.0:
+    if not 0.0 < lam_min < np.inf:
         return lam_min, lam_max, np.inf
     return lam_min, lam_max, lam_max / lam_min
 

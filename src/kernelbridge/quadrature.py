@@ -36,12 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes, weights, and the target-measure quantities they were built
-    from."""
+    """Nodes, weights, and the Gram matrix and target-measure quantities
+    they were built from."""
 
     kernel: Kernel
     nodes: np.ndarray
     weights: np.ndarray
+    node_gram: np.ndarray
     target: DiscreteMeasure
     target_mean_at_nodes: np.ndarray
     target_double_integral: float
@@ -79,6 +80,7 @@ def kq_weights(
         kernel=kernel,
         nodes=P,
         weights=w,
+        node_gram=K,
         target=target,
         target_mean_at_nodes=mu_x,
         target_double_integral=double_integral,
@@ -92,11 +94,13 @@ def bq_posterior(rule: QuadratureRule, f_values):
     The noise variance of the Bayesian model is ``n * lam``, with ``lam``
     the regularization the rule was built with. Returns ``(mean, variance)``.
 
-    The system is factored without the invertibility gate: ``kq_weights``
-    already gated this Gram matrix when it built the rule.
+    The system is the Gram matrix the rule carries, ``rule.node_gram``,
+    plus that noise. It is factored without the invertibility gate: at
+    ``lam = 0`` ``kq_weights`` already gated this Gram matrix when it built
+    the rule.
     """
     f = as_values(f_values, rule.n, "function values", "nodes")
-    K = gram(rule.kernel, rule.nodes, rule.nodes)
+    K = rule.node_gram
     noise = rule.n * rule.regularization
     system = shift_diagonal(K, noise) if noise > 0 else K
     # Ungated: kq_weights already gated this K (see the docstring).

@@ -13,6 +13,8 @@ import pytest
 
 import kernelbridge
 from kernelbridge import cli
+from kernelbridge.dependence import PairedSample, hsic_gp_monte_carlo
+from kernelbridge.kernels import parse_kernel
 from kernelbridge.reporting import SCHEMA_VERSION, strip_wall_time
 from kernelbridge.suites import Case, run_suite
 
@@ -684,6 +686,24 @@ def test_hsic_on_a_constant_column_collapses_to_zero(capsys, tmp_path):
     assert payload["seed"] == 3
 
 
+def test_hsic_reports_the_exact_standard_error_after_the_sample_one(capsys, tmp_path):
+    xs = [(0.1,), (0.7,), (0.3,), (0.9,), (0.45,)]
+    ys = [(0.2,), (0.9,), (0.5,), (0.6,), (0.1,)]
+    x = write_csv(tmp_path / "x.csv", "x1", xs)
+    y = write_csv(tmp_path / "y.csv", "x1", ys)
+    code, out, _ = run_cli(
+        capsys, "hsic", "--x", x, "--y", y, "--draws", "300", "--seed", "4"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    keys = list(payload)
+    assert keys[keys.index("mc_se") + 1] == "mc_exact_se"
+    kernel = parse_kernel("se")
+    expected = hsic_gp_monte_carlo(kernel, kernel, PairedSample(xs, ys), 300, 4)
+    assert (payload["mc_estimate"], payload["mc_se"], payload["mc_exact_se"]) == expected
+    assert payload["mc_exact_se"] > 0.0
+
+
 def test_hsic_without_draws_omits_the_monte_carlo_fields(capsys, tmp_path):
     x = write_csv(tmp_path / "x.csv", "x1", [(0.1,), (0.7,), (0.3,)])
     y = write_csv(tmp_path / "y.csv", "x1", [(0.2,), (0.9,), (0.5,)])
@@ -692,6 +712,7 @@ def test_hsic_without_draws_omits_the_monte_carlo_fields(capsys, tmp_path):
     payload = json.loads(out)
     assert "mc_estimate" not in payload
     assert "mc_se" not in payload
+    assert "mc_exact_se" not in payload
     assert payload["hsic"] == pytest.approx(payload["gp_exact"], abs=1e-10)
 
 

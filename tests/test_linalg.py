@@ -1,5 +1,6 @@
 """Factorization, jitter escalation, conditioning checks, Gaussian sampling."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -78,6 +79,126 @@ def test_cholesky_handles_the_empty_matrix():
     L, jitter = cholesky_with_jitter(np.zeros((0, 0)), "empty")
     assert L.shape == (0, 0)
     assert jitter == 0.0
+
+
+def matern_gram(n):
+    # a jittered 1-d grid: cond(K) grows with n, from 2e5 at n = 65 to 8e7 at 300
+    rng = np.random.default_rng(n)
+    X = (np.arange(n) + rng.uniform(-0.25, 0.25, n))[:, None] / n
+    return gram(Matern(alpha=1.5, h=0.2), X, X)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50, 64])
+def test_the_factor_is_bitwise_numpys_up_to_one_block(n):
+    # verify suites draw n <= 50, so this is what keeps their reports
+    # byte-identical
+    for M in (random_spd(n, n), matern_gram(n)):
+        before = M.copy()
+        L, jitter = cholesky_with_jitter(M, "M")
+        assert jitter == 0.0
+        np.testing.assert_array_equal(L, np.linalg.cholesky(M), strict=True)
+        np.testing.assert_array_equal(M, before)
+
+
+@pytest.mark.parametrize("n", [65, 130, 300])
+def test_the_blocked_factor_is_lower_triangular_and_backward_stable(n):
+    for M in (random_spd(n, n), matern_gram(n)):
+        before = M.copy()
+        L, jitter = cholesky_with_jitter(M, "M")
+        assert jitter == 0.0
+        np.testing.assert_array_equal(M, before)
+        assert not np.triu(L, 1).any()
+        assert (np.diagonal(L) > 0.0).all()
+        # Backward error of a Cholesky factorization, blocked or not, is
+        # O(n eps ||A||) (Higham, ch. 10); c = 1 here, in the Frobenius norm.
+        error = np.linalg.norm(L @ L.T - M)
+        assert error <= n * np.finfo(float).eps * np.linalg.norm(M)
+
+
+def _numpy_jitter(M):
+    """The jitter the schedule settles on when each attempt is np.linalg.cholesky."""
+    jitter, step = 0.0, 1e-12 * float(np.trace(M)) / len(M)
+    for _ in range(8):  # no jitter, then 1e-12 ... 1e-6 times trace/n
+        try:
+            np.linalg.cholesky(shift_diagonal(M, jitter))
+            return jitter
+        except np.linalg.LinAlgError:
+            jitter, step = step, step * 10.0
+    return None
+
+
+def test_a_rank_deficient_matrix_is_rescued_with_the_same_jitter_schedule():
+    V = np.random.default_rng(5).normal(size=(130, 5))
+    M = V @ V.T
+    L, jitter = cholesky_with_jitter(M, "M")
+    assert jitter > 0.0
+    assert jitter == _numpy_jitter(M)
+    assert not np.triu(L, 1).any()
+    np.testing.assert_allclose(L @ L.T, shift_diagonal(M, jitter), rtol=1e-8, atol=1e-10)
+
+
+def test_an_indefinite_matrix_beyond_one_block_raises_the_same_message():
+    d = np.ones(130)
+    d[100] = -1.0
+    ceiling = 1e-6 * float(np.trace(np.diag(d))) / 130
+    message = f"Cholesky factorization of M failed with jitter up to {ceiling:.3e}$"
+    with pytest.raises(NumericalError, match=message):
+        cholesky_with_jitter(np.diag(d), "M")
+    with pytest.raises(NumericalError, match="trace admits no jitter scale"):
+        cholesky_with_jitter(-np.eye(130), "M")
+
+
+def test_the_gate_judges_a_symmetric_matrix_near_the_float_limit_by_its_eigenvalues():
+    # A symmetric matrix is not averaged with its transpose, which would
+    # overflow entries above half the largest float to inf; the verdict comes
+    # from the matrix's own eigenvalues.
+    require_invertible(np.array([[1e308]]), "M")
+    require_invertible(np.diag([1e308, 0.5e308]), "M")
+    with pytest.raises(NumericalError, match="M is numerically singular"):
+        require_invertible(np.diag([1e308, 1.0]), "M")
+    # When the trace overflows there is no baseline jitter, and the gate
+    # still rejects, as before.
+    with np.errstate(over="ignore"):
+        for M in ([[1e308, 1e308], [1e308, 1e308]], [[1e308, 0.5e308], [0.5e308, 1e308]]):
+            assert spd_stats(np.array(M))[2] == np.inf
+            with pytest.raises(NumericalError, match=r"M is singular \(smallest eigenvalue inf\)"):
+                require_invertible(np.array(M), "M")
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gating_and_factoring_hold_at_most_one_working_copy():
+    K = matern_gram(512)
+    assert np.array_equal(K, K.T)
+    # the factor itself, plus panel temporaries of 64 columns
+    assert _traced_peak(cholesky_with_jitter, K) <= 1.25 * K.nbytes
+    # a boolean symmetry test and the eigenvalues; no copy of K
+    assert _traced_peak(spd_stats, K) <= 0.25 * K.nbytes
+
+
+def test_one_factorization_path_calls_numpys_cholesky():
+    # Only the blocked helper reaches np.linalg.cholesky, for its diagonal
+    # blocks: no fallback to the unblocked call, and no switch between them.
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.cholesky":
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(kernelbridge.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert found == [("linalg.py", "_factor_in_place")]
 
 
 def test_the_gate_accepts_the_empty_matrix():

@@ -183,6 +183,22 @@ def test_posterior_validates_values_and_regularization():
         bq_posterior(rule, [1.0, np.nan])
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.02])
+def test_the_posterior_factors_the_gram_matrix_the_rule_carries(lam, monkeypatch):
+    kernel = Matern(alpha=1.5, h=0.7)
+    nodes, target = random_instance(11, 6, 4)
+    rule = kq_weights(kernel, nodes, target, lam)
+    np.testing.assert_array_equal(rule.node_gram, gram(kernel, nodes, nodes))
+    f = np.random.default_rng(12).normal(size=6)
+    expected = bq_posterior(rule, f)
+
+    def no_gram(*args):
+        raise AssertionError("bq_posterior rebuilt the Gram matrix")
+
+    monkeypatch.setattr("kernelbridge.quadrature.gram", no_gram)
+    assert bq_posterior(rule, f) == expected
+
+
 def test_adding_a_node_never_raises_the_posterior_variance():
     kernel = SquaredExponential(gamma=0.8)
     nodes, target = random_instance(9, 4, 5)
