@@ -13,9 +13,10 @@ writes the report with ``schema`` first and ``wall_time`` last.
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
 usage, parse, or input errors. No other codes are used.
 
-CSV formats: datasets carry a header ``x1,...,xd,y`` (the ``y`` column
-is optional), measures carry ``x1,...,xd,w``, and plain point sets carry
-``x1,...,xd``. Decimal points only; no thousands separators.
+CSV formats: datasets carry a header ``x1,...,xd,y``, measures
+``x1,...,xd,w``, point sets ``x1,...,xd`` and function values the single
+column ``f``; ``y``, ``w`` and ``f`` are required. Decimal points only; no
+thousands separators. :func:`_read_csv` reads every one of them.
 """
 
 from __future__ import annotations
@@ -37,20 +38,12 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .kernels import Dataset, format_kernel, parse_kernel
-from .reporting import SCHEMA_VERSION, json_text
+from .reporting import SCHEMA_VERSION, format_float, json_text
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "entrypoint"]
 
 _BOTH_MODE_TOLERANCE = 1e-8
-
-
-def _read_rows(path: str):
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            return list(csv.reader(handle))
-    except OSError as exc:
-        raise InputError(f"could not read {path}: {exc}") from None
 
 
 def _parse_cell(path: str, line: int, cell: str) -> float:
@@ -68,41 +61,42 @@ def _parse_cell(path: str, line: int, cell: str) -> float:
     return value
 
 
-def _split_header(path: str, rows):
+def _read_csv(path: str, last: str | None):
+    """Read a CSV as ``(points, values)``, two separate arrays. ``last`` names
+    the required column after ``x1..xd``, ``"y"`` or ``"w"``; ``None`` reads
+    coordinates alone (``values`` is None), ``"f"`` the single column ``f``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise InputError(f"could not read {path}: {exc}") from None
+    header = [cell.strip() for cell in rows[0]] if rows else []
+    if last == "f" and header != ["f"]:
+        raise InputError(f"{path}:1: expected a single column named 'f'")
     if not rows:
         raise InputError(f"{path}:1: missing header row")
-    header = [cell.strip() for cell in rows[0]]
     d = 0
     while d < len(header) and header[d] == f"x{d + 1}":
         d += 1
-    if d == 0:
+    if d == 0 and last != "f":
         raise InputError(
             f"{path}:1: header must start with coordinate columns x1,...,xd"
         )
-    return header, d
-
-
-def _parse_table(path: str, expected_trailer: str | None, require_trailer: bool):
-    """Read a CSV of coordinate columns plus an optional trailing column.
-
-    Returns ``(points, trailer_values_or_None)``.
-    """
-    rows = _read_rows(path)
-    header, d = _split_header(path, rows)
     trailer = header[d:]
-    if trailer and (expected_trailer is None or trailer != [expected_trailer]):
+    if trailer and trailer != [last]:
         raise InputError(
             f"{path}:1: unexpected trailing columns {trailer!r} after x1..x{d}"
         )
-    if require_trailer and not trailer:
-        raise InputError(f"{path}:1: missing required column {expected_trailer!r}")
+    if last is not None and not trailer:
+        raise InputError(f"{path}:1: missing required column {last!r}")
     width = len(header)
     points = np.zeros((len(rows) - 1, d))
-    values = np.zeros(len(rows) - 1) if trailer else None
+    values = None if last is None else np.zeros(len(rows) - 1)
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise InputError(
-                f"{path}:{i}: expected {width} columns, found {len(row)}"
+                f"{path}:{i}: expected {width} column{'s' if d else ''}, found {len(row)}"
             )
         for j in range(d):
             points[i - 2, j] = _parse_cell(path, i, row[j])
@@ -111,53 +105,14 @@ def _parse_table(path: str, expected_trailer: str | None, require_trailer: bool)
     return points, values
 
 
-def _load_dataset(path: str) -> Dataset:
-    points, y = _parse_table(path, "y", require_trailer=False)
-    return Dataset(points, y)
-
-
-def _load_points(path: str) -> np.ndarray:
-    points, _ = _parse_table(path, None, require_trailer=False)
-    return points
-
-
-def _load_measure(path: str) -> embeddings.DiscreteMeasure:
-    points, w = _parse_table(path, "w", require_trailer=True)
-    return embeddings.DiscreteMeasure(points, w)
-
-
-def _load_column(path: str, name: str) -> np.ndarray:
-    rows = _read_rows(path)
-    if not rows or [cell.strip() for cell in rows[0]] != [name]:
-        raise InputError(f"{path}:1: expected a single column named {name!r}")
-    out = np.zeros(len(rows) - 1)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 1:
-            raise InputError(f"{path}:{i}: expected 1 column, found {len(row)}")
-        out[i - 2] = _parse_cell(path, i, row[0])
-    return out
-
-
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json_text(payload)
-    if out_path is None:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` as it is, or to stdout when ``path`` is None."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise InputError(f"could not write {out_path}: {exc}") from None
-
-
-def _write_predictions(path: str, points: np.ndarray, values: np.ndarray) -> None:
-    d = points.shape[1]
+        return
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([f"x{j + 1}" for j in range(d)] + ["y"])
-            for row, value in zip(points, values):
-                writer.writerow(["%.17g" % v for v in row] + ["%.17g" % value])
+            handle.write(text)
     except OSError as exc:
         raise InputError(f"could not write {path}: {exc}") from None
 
@@ -176,8 +131,8 @@ def _cmd_verify(args):
 
 def _cmd_regress(args):
     kernel = parse_kernel(args.kernel)
-    data = _load_dataset(args.data)
-    queries = _load_points(args.queries) if args.queries else data.X
+    data = Dataset(*_read_csv(args.data, "y"))
+    queries = _read_csv(args.queries, None)[0] if args.queries else data.X
     if queries.shape[1] != data.d:
         raise InputError(
             f"queries have dimension {queries.shape[1]} but the data has "
@@ -218,7 +173,10 @@ def _cmd_regress(args):
         if discrepancy > _BOTH_MODE_TOLERANCE:
             exit_code = 1
     if args.predictions_out:
-        _write_predictions(args.predictions_out, queries, predictions)
+        rows = [[f"x{j + 1}" for j in range(data.d)] + ["y"]]
+        rows += [[format_float(v) for v in (*q, p)] for q, p in zip(queries, predictions)]
+        # CRLF row ends, as csv.writer writes them.
+        _write(args.predictions_out, "".join(",".join(row) + "\r\n" for row in rows))
         body["predictions_path"] = args.predictions_out
     else:
         body["predictions"] = [float(v) for v in predictions]
@@ -249,7 +207,7 @@ def _cmd_rates(args):
 
 def _cmd_sample(args):
     kernel = parse_kernel(args.kernel)
-    points = _load_points(args.points)
+    points, _ = _read_csv(args.points, None)
     draws = gp.sample_prior(kernel, points, args.count, args.seed)
     body = {
         "command": "sample",
@@ -265,8 +223,8 @@ def _cmd_sample(args):
 
 def _cmd_mmd(args):
     kernel = parse_kernel(args.kernel)
-    P = _load_measure(args.p)
-    Q = _load_measure(args.q)
+    P = embeddings.DiscreteMeasure(*_read_csv(args.p, "w"))
+    Q = embeddings.DiscreteMeasure(*_read_csv(args.q, "w"))
     value = embeddings.mmd(kernel, P, Q)
     body = {
         "command": "mmd",
@@ -282,7 +240,7 @@ def _cmd_mmd(args):
 def _cmd_hsic(args):
     kx = parse_kernel(args.kernel_x)
     ky = parse_kernel(args.kernel_y)
-    sample = PairedSample(_load_points(args.x), _load_points(args.y))
+    sample = PairedSample(_read_csv(args.x, None)[0], _read_csv(args.y, None)[0])
     body = {
         "command": "hsic",
         "kernel_x": format_kernel(kx),
@@ -302,8 +260,8 @@ def _cmd_hsic(args):
 
 def _cmd_quadrature(args):
     kernel = parse_kernel(args.kernel)
-    nodes = _load_points(args.nodes)
-    target = _load_measure(args.target)
+    nodes, _ = _read_csv(args.nodes, None)
+    target = embeddings.DiscreteMeasure(*_read_csv(args.target, "w"))
     rule = quadrature.kq_weights(kernel, nodes, target, args.lam)
     _, variance = quadrature.bq_posterior(rule, np.zeros(rule.n))
     body = {
@@ -315,7 +273,7 @@ def _cmd_quadrature(args):
         "variance": variance,
     }
     if args.f_values:
-        f = _load_column(args.f_values, "f")
+        _, f = _read_csv(args.f_values, "f")
         mean, _ = quadrature.bq_posterior(rule, f)
         body["mean"] = mean
     return body, 0
@@ -417,7 +375,8 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         body, exit_code = args.handler(args)
         elapsed = time.perf_counter() - start
-        _emit({"schema": SCHEMA_VERSION, **body, "wall_time": elapsed}, args.out)
+        report = {"schema": SCHEMA_VERSION, **body, "wall_time": elapsed}
+        _write(args.out, json_text(report))
         return exit_code
     except (
         InputError,

@@ -93,6 +93,7 @@ def verify_worst_case_identity(
     noise-free identity, posterior sd == worst-case error. With noise the
     query must differ from every node exactly (the white-noise component
     must not fire at ``x``), so coincidence raises :class:`PreconditionError`.
+    Neither side depends on ``data.Y``: outputs of any value serve.
     """
     xv = as_point(x)
     if not np.isfinite(noise_variance) or noise_variance < 0:
@@ -110,9 +111,6 @@ def verify_worst_case_identity(
                 "every node; it coincides with node "
                 f"{int(np.argmax(coincides))}"
             )
-    if data.Y is None:
-        # the posterior variance does not depend on Y
-        data = Dataset(data.X, np.zeros(data.n))
     post = gp.condition(kernel, data, noise_variance)
     lhs = math.sqrt(gp.posterior_cov(post, xv, xv) + noise_variance)
     augmented = Sum(kernel, KroneckerDelta(noise_variance))

@@ -76,7 +76,7 @@ def sample_prior(kernel: Kernel, X, count: int, seed: int) -> np.ndarray:
 def condition(kernel: Kernel, data: Dataset, noise_variance: float) -> GPPosterior:
     """Condition the zero-mean GP prior with covariance ``kernel`` on data.
 
-    The posterior mean and covariance are
+    The posterior mean and covariance, with ``Y = data.Y``, are
 
     ``k_xX (K_XX + s2 I)^{-1} Y`` and
     ``k(x, x') - k_xX (K_XX + s2 I)^{-1} k_Xx'``.
@@ -88,8 +88,6 @@ def condition(kernel: Kernel, data: Dataset, noise_variance: float) -> GPPosteri
     """
     if not np.isfinite(noise_variance) or noise_variance < 0:
         raise InputError("noise variance must be nonnegative and finite")
-    if data.Y is None:
-        raise InputError("conditioning requires a dataset with outputs")
     K = gram(kernel, data.X, data.X)
     chol = factor_system(K, noise_variance, name="K_XX")
     return GPPosterior(kernel, data.X, chol, chol.solve(data.Y))

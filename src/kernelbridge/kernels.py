@@ -465,17 +465,15 @@ def gram(kernel: Kernel, A, B) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Input locations ``X`` (n x d) with optional outputs ``Y`` (length n)."""
+    """Input locations ``X`` (n x d) and their required outputs ``Y`` (length n)."""
 
     X: np.ndarray
-    Y: np.ndarray | None = None
+    Y: np.ndarray
 
     def __post_init__(self):
         X = as_points(self.X)
         object.__setattr__(self, "X", X)
-        if self.Y is not None:
-            Y = as_values(self.Y, X.shape[0], "outputs", "inputs")
-            object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "Y", as_values(self.Y, X.shape[0], "outputs", "inputs"))
 
     @property
     def n(self) -> int:

@@ -28,13 +28,13 @@ def fit_krr(kernel: Kernel, data: Dataset, lam: float) -> RepresenterFunction:
     For ``lam > 0`` the system ``K_XX + n lam I`` is strictly positive
     definite, so duplicate inputs are allowed. ``lam = 0`` gives the
     minimum-norm interpolant: the Gram matrix is gated first, and duplicated
-    inputs raise :class:`~kernelbridge.errors.NumericalError`. An empty
-    dataset gives the zero function, the expansion with no centers.
+    inputs raise :class:`~kernelbridge.errors.NumericalError`. The targets
+    are ``data.Y``, which every :class:`~kernelbridge.kernels.Dataset`
+    carries. An empty dataset gives the zero function, the expansion with no
+    centers.
     """
     if not np.isfinite(lam) or lam < 0:
         raise InputError("regularization lambda must be nonnegative and finite")
-    if data.Y is None:
-        raise InputError("fitting requires a dataset with outputs")
     K = gram(kernel, data.X, data.X)
     alpha = factor_system(K, data.n * lam, name="K_XX").solve(data.Y)
     return RepresenterFunction(kernel, data.X, alpha)

@@ -226,7 +226,8 @@ def cholesky_with_jitter(matrix: np.ndarray, name: str = "matrix") -> Cholesky:
         return Cholesky(_factor_in_place(np.array(a)), 0.0)
     except np.linalg.LinAlgError:
         pass
-    base = float(np.trace(a)) / a.shape[0]
+    with np.errstate(over="ignore"):
+        base = float(np.trace(a)) / a.shape[0]
     if not np.isfinite(base) or base <= 0.0:
         raise NumericalError(
             f"Cholesky factorization of {name} failed and its trace admits no "
@@ -303,7 +304,8 @@ def spd_stats(matrix: np.ndarray):
     if n == 0:
         return np.inf, 0.0, 1.0
     lam = np.linalg.eigvalsh(a)
-    baseline = JITTER_INITIAL * float(np.trace(a)) / n
+    with np.errstate(over="ignore"):
+        baseline = JITTER_INITIAL * float(np.trace(a)) / n
     lam_min = float(lam[0]) + max(baseline, 0.0)
     lam_max = float(lam[-1])
     if not 0.0 < lam_min < np.inf:
@@ -372,7 +374,8 @@ def covariance_root(covariance: np.ndarray, reference: np.ndarray) -> np.ndarray
     n = cov.shape[0]
     if n == 0:
         return cov
-    clamp = JITTER_INITIAL * float(np.trace(reference)) / n
+    with np.errstate(over="ignore"):
+        clamp = JITTER_INITIAL * float(np.trace(reference)) / n
     lam, vec = np.linalg.eigh(cov)
     lam = np.where(lam < max(clamp, 0.0), 0.0, lam)
     return vec * np.sqrt(lam)[None, :]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kernelbridge
-from kernelbridge import cli
+from kernelbridge import cli, reporting
 from kernelbridge.dependence import PairedSample, hsic_gp_monte_carlo
 from kernelbridge.kernels import parse_kernel
 from kernelbridge.reporting import SCHEMA_VERSION, strip_wall_time
@@ -186,7 +186,7 @@ def test_only_main_times_and_emits_reports():
         if name.startswith("_cmd_")
     ]
     assert len(handlers) == 7
-    assert not [src for src in handlers if "perf_counter" in src or "_emit(" in src]
+    assert not [src for src in handlers if "perf_counter" in src or "json_text(" in src]
     timed = inspect.getsource(cli.main).count("perf_counter")
     assert timed > 0 and inspect.getsource(cli).count("perf_counter") == timed
     # Result records serialize through dataclasses.asdict.
@@ -241,22 +241,28 @@ def test_verify_output_is_byte_stable_apart_from_wall_time(capsys, tmp_path):
     assert "wall_time" in first.read_text(encoding="utf-8")
 
 
-def _outputs_under_one_and_two_blas_threads(*args):
-    """The CLI's stdout, ``wall_time`` stripped, under 1 and under 2 BLAS threads."""
+def _cli_process(*args, threads=None):
+    """Run the CLI in a fresh interpreter, optionally at a BLAS thread count."""
     src = str(Path(kernelbridge.__file__).resolve().parent.parent)
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if threads is not None:
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[name] = threads
-        done = subprocess.run(
-            [sys.executable, "-m", "kernelbridge.cli", *args],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
+    return subprocess.run(
+        [sys.executable, "-m", "kernelbridge.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+
+
+def _outputs_under_one_and_two_blas_threads(*args):
+    """The CLI's stdout, ``wall_time`` stripped, under 1 and under 2 BLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        done = _cli_process(*args, threads=threads)
         assert done.returncode == 0, done.stderr
         outputs.append(strip_wall_time(done.stdout))
     return outputs
@@ -442,13 +448,15 @@ def test_ridge_modes_on_an_empty_dataset_predict_zero(capsys, tmp_path, mode, la
 
 @pytest.mark.parametrize("rows", [[], [(0.3,)]])
 def test_gp_mode_without_outputs_is_rejected_at_every_n(capsys, tmp_path, rows):
+    # The y column is required where the file is read, in every mode.
     data = write_csv(tmp_path / "x.csv", "x1", rows)
-    code, _, err = run_cli(
-        capsys, "regress", "--data", data, "--kernel", "se", "--mode", "gp",
-        "--sigma2", "0.1",
-    )
-    assert code == 2
-    assert err == "error: conditioning requires a dataset with outputs\n"
+    for mode in ("gp", "krr", "both"):
+        code, out, err = run_cli(
+            capsys, "regress", "--data", data, "--kernel", "se", "--mode", mode,
+            "--sigma2", "0.1", "--lambda", "0.1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {data}:1: missing required column 'y'\n"
 
 
 def test_queries_of_another_dimension_are_rejected_on_an_empty_dataset(
@@ -530,8 +538,26 @@ def test_predictions_can_be_routed_to_a_csv_file(capsys, dataset_csv, tmp_path):
     lines = out_csv.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "x1,y"
     assert len(lines) == 6
+    assert out_csv.read_bytes().count(b"\r\n") == len(lines)
     reread = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(np.isfinite(reread))
+
+
+def test_predictions_that_cannot_be_serialized_fail_with_or_without_a_file(
+    capsys, tmp_path
+):
+    data = write_csv(tmp_path / "d.csv", "x1,y", [(0.0, 1.0), (0.5, 2.0), (1.0, 0.5)])
+    queries = write_csv(tmp_path / "q.csv", "x1", [(1e120,), (0.3,)])
+    out_csv = tmp_path / "pred.csv"
+    args = ("regress", "--data", data, "--queries", queries, "--mode", "krr",
+            "--kernel", "poly:degree=3,c=1.0", "--lambda", "0.1")
+    for extra in ((), ("--predictions-out", str(out_csv))):
+        # The cross-Gram row at 1e120 overflows, so its prediction is nan.
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli(capsys, *args, *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot serialize non-finite value nan\n"
+    assert not out_csv.exists()
 
 
 # ----------------------------------------------------------------------
@@ -629,6 +655,26 @@ def test_a_gram_matrix_that_is_not_finite_is_named(capsys, tmp_path, command):
     assert (code, out, err) == (2, "", "error: K_XX has a non-finite entry\n")
 
 
+@pytest.mark.parametrize("command", ["quadrature", "sample"])
+def test_a_trace_that_overflows_leaves_only_the_error_on_stderr(tmp_path, command):
+    # Each k(x, x) = x^4 is finite at these nodes, but their sum is not.
+    nodes = write_csv(tmp_path / "nodes.csv", "x1", [(1e77,), (1.1e77,)])
+    target = write_csv(tmp_path / "target.csv", "x1,w", [(1e77, 1.0)])
+    args, message = {
+        "quadrature": (
+            ("--nodes", nodes, "--target", target, "--lambda", "0"),
+            "K_XX is singular (smallest eigenvalue inf)",
+        ),
+        "sample": (
+            ("--points", nodes),
+            "Cholesky factorization of K_XX failed and its trace admits no jitter scale",
+        ),
+    }[command]
+    done = _cli_process(command, "--kernel", "poly:degree=2", *args)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message}\n"
+
+
 def test_a_utf8_byte_order_mark_before_the_header_is_accepted(capsys, tmp_path):
     plain = write_csv(tmp_path / "plain.csv", "x1", [(0.0,), (0.5,), (1.0,)])
     marked = tmp_path / "marked.csv"
@@ -638,6 +684,95 @@ def test_a_utf8_byte_order_mark_before_the_header_is_accepted(capsys, tmp_path):
     assert code == 0, err
     _, expected, _ = run_cli(capsys, *args, plain)
     assert strip_wall_time(out) == strip_wall_time(expected)
+
+
+# Each README CSV format, as one command reads it; the command's other inputs
+# are valid. Per format, one file per case of _MALFORMED_CASES, and the
+# message it gets after "error: <path>" (None: the file is read).
+_MALFORMED_CASES = (
+    "empty", "wrong-first-column", "extra-trailing-column",
+    "missing-required-column", "short-row", "unparsable-cell",
+    "non-finite-cell", "utf8-bom-header",
+)
+_MALFORMED = {
+    "training": (
+        ("", ":1: missing header row"),
+        ("z1,y\n0.0,1.0\n", ":1: header must start with coordinate columns x1,...,xd"),
+        ("x1,y,z\n0.0,1.0,2.0\n", ":1: unexpected trailing columns ['y', 'z'] after x1..x1"),
+        ("x1\n0.0\n", ":1: missing required column 'y'"),
+        ("x1,y\n0.0,1.0\n0.5\n", ":3: expected 2 columns, found 1"),
+        ("x1,y\n0.0,oops\n", ":2: could not parse 'oops' as a number"),
+        ("x1,y\n0.0,inf\n", ":2: non-finite value 'inf'"),
+        ("\ufeffx1,y\n0.0,1.0\n0.5,2.0\n", None),
+    ),
+    "points": (
+        ("", ":1: missing header row"),
+        ("x2\n0.0\n", ":1: header must start with coordinate columns x1,...,xd"),
+        ("x1,y\n0.0,1.0\n", ":1: unexpected trailing columns ['y'] after x1..x1"),
+        ("\n0.0\n", ":1: header must start with coordinate columns x1,...,xd"),
+        ("x1\n0.0\n\n", ":3: expected 1 columns, found 0"),
+        ("x1,x2\n0.0,0x10\n", ":2: could not parse '0x10' as a number"),
+        ("x1,x2\n0.0, nan\n", ":2: non-finite value ' nan'"),
+        ("\ufeffx1,x2\n0.0,1.0\n0.5,2.0\n", None),
+    ),
+    "atoms": (
+        ("", ":1: missing header row"),
+        ("w,x1\n0.5,0.0\n", ":1: header must start with coordinate columns x1,...,xd"),
+        ("x1,w,v\n0.0,1.0,2.0\n", ":1: unexpected trailing columns ['w', 'v'] after x1..x1"),
+        ("x1\n0.0\n", ":1: missing required column 'w'"),
+        ("x1,x2,w\n0.0,1.0,0.5\n0.5,0.5\n", ":3: expected 3 columns, found 2"),
+        ('x1,w\n"1,5",1.0\n', ":2: could not parse '1,5' as a number"),
+        ("x1,w\n0.0,-Infinity\n", ":2: non-finite value '-Infinity'"),
+        ("\ufeffx1,w\n0.0,0.5\n0.5,0.5\n", None),
+    ),
+    "values": (
+        ("", ":1: expected a single column named 'f'"),
+        ("g\n1.0\n2.0\n", ":1: expected a single column named 'f'"),
+        ("f,g\n1.0,2.0\n", ":1: expected a single column named 'f'"),
+        ("x1\n1.0\n2.0\n", ":1: expected a single column named 'f'"),
+        ("f\n1.0\n\n", ":3: expected 1 column, found 0"),
+        ("f\n1.0\n1_000\n", ":3: could not parse '1_000' as a number"),
+        ("f\nnan\n1.0\n", ":2: non-finite value 'nan'"),
+        ("\ufefff\n1.0\n2.0\n", None),
+    ),
+}
+
+
+def _command_reading(fmt, tmp_path, path):
+    points = write_csv(tmp_path / "nodes.csv", "x1", [(0.0,), (0.5,)])
+    atoms = write_csv(tmp_path / "atoms.csv", "x1,w", [(0.0, 0.5), (0.5, 0.5)])
+    return {
+        "training": ("regress", "--data", path, "--mode", "krr", "--lambda", "0.1"),
+        "points": ("sample", "--points", path),
+        "atoms": ("mmd", "--p", path, "--q", atoms),
+        "values": ("quadrature", "--nodes", points, "--target", atoms, "--f-values", path),
+    }[fmt]
+
+
+def test_csv_files_are_read_in_one_place_and_written_in_another():
+    source = inspect.getsource(cli)
+    owners = inspect.getsource(cli._read_csv) + inspect.getsource(cli._write)
+    assert source.count("open(") == owners.count("open(") == 2
+    modules = [p.read_text() for p in Path(kernelbridge.__file__).parent.glob("*.py")]
+    assert sum(text.count("csv.reader") for text in modules) == 1
+    assert source.count("csv.reader") == 1
+    # Every float written to a report or a prediction file comes from one place.
+    assert sum(text.count('"%.17g"') for text in modules) == 1
+    assert '"%.17g"' in inspect.getsource(reporting.format_float)
+
+
+@pytest.mark.parametrize("case", range(len(_MALFORMED_CASES)), ids=_MALFORMED_CASES)
+@pytest.mark.parametrize("fmt", sorted(_MALFORMED))
+def test_every_malformed_file_gets_its_message(capsys, tmp_path, fmt, case):
+    text, message = _MALFORMED[fmt][case]
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    args = _command_reading(fmt, tmp_path, str(path))
+    code, out, err = run_cli(capsys, args[0], "--kernel", "se", *args[1:])
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {path}{message}\n")
 
 
 # ----------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_noise_free_identity_single_node_closed_form():
 def test_worst_case_identity_on_no_nodes_is_the_prior_sd(noise):
     kernel = Matern(alpha=2.5, h=0.9)
     x = np.array([0.4, -0.2])
-    empty = Dataset(np.zeros((0, 2)))
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0))
     assert optimal_weights(kernel, empty.X, x, noise).shape == (0,)
     report = verify_worst_case_identity(kernel, empty, noise, x)
     expected = math.sqrt(kernel_eval(kernel, x, x) + noise)

@@ -94,8 +94,8 @@ def test_conditioning_on_no_data_reproduces_the_prior():
 
 def test_conditioning_requires_observations_when_points_are_present():
     kernel = SquaredExponential()
-    with pytest.raises(InputError):
-        condition(kernel, Dataset(np.zeros((2, 1))), noise_variance=0.1)
+    with pytest.raises(InputError, match="0 outputs for 2 inputs"):
+        condition(kernel, Dataset(np.zeros((2, 1)), np.zeros(0)), noise_variance=0.1)
 
 
 @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])

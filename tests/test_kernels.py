@@ -1,6 +1,7 @@
 """Kernel families: closed forms, Gram assembly, text form,
 and the shared coercers of per-point values and sample counts."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -552,9 +553,14 @@ def test_large_order_matern_approaches_the_squared_exponential():
 
 
 def test_dataset_accepts_empty_input_sets():
-    data = Dataset(np.zeros((0, 2)))
+    data = Dataset(np.zeros((0, 2)), np.zeros(0))
     assert data.n == 0 and data.d == 2
-    assert data.Y is None
+    np.testing.assert_array_equal(data.Y, np.zeros(0), strict=True)
+    # The outputs are required, with no default.
+    (outputs,) = [f for f in dataclasses.fields(Dataset) if f.name == "Y"]
+    assert outputs.default is outputs.default_factory is dataclasses.MISSING
+    with pytest.raises(TypeError, match="'Y'"):
+        Dataset(np.zeros((0, 2)))
 
 
 def test_a_point_set_without_dimensions_is_rejected_where_it_comes_in():

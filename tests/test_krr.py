@@ -83,8 +83,9 @@ def test_nonpositive_regularization_is_rejected(lam):
 
 
 def test_fitting_requires_data():
-    with pytest.raises(InputError, match="outputs"):
-        fit_krr(SquaredExponential(), Dataset(np.zeros((3, 1))), 0.1)
+    # A dataset carries one output per input, so the fit always has targets.
+    with pytest.raises(InputError, match="2 outputs for 3 inputs"):
+        fit_krr(SquaredExponential(), Dataset(np.zeros((3, 1)), np.zeros(2)), 0.1)
     # No observations at all is n = 0: the expansion with no centers.
     f = fit_krr(SquaredExponential(), Dataset(np.zeros((0, 1)), np.zeros(0)), 0.1)
     assert f.centers.shape == (0, 1)
