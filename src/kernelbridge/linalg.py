@@ -283,6 +283,15 @@ def solve_cholesky(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def solve_stacked(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each small system ``matrices[i] x = rhs[i]`` by pivoted LU.
+
+    For the ``p x p`` systems (``p <= 3``) at the chunk boundaries of the
+    state-space filter, which are not Gram matrices: no gate, no jitter.
+    """
+    return np.linalg.solve(matrices, rhs)
+
+
 def spd_stats(matrix: np.ndarray):
     """Eigenvalue statistics backing the invertibility verdict.
 

@@ -8,12 +8,17 @@ check of the GP = KRR identity.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelbridge import experiments, gp, krr, statespace
 from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
 from kernelbridge.kernels import Dataset, Matern, SquaredExponential, gram
 
 EPS = np.finfo(float).eps
+# Sizes on either side of one and two chunks of the parallel-in-time passes.
+CHUNK = statespace._CHUNK
+AT_CHUNKS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
 
 
 def _inputs(n, seed):
@@ -27,7 +32,7 @@ def _inputs(n, seed):
     return x[:, None], rng.normal(size=n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 1024])
+@pytest.mark.parametrize("n", [1, 2, *AT_CHUNKS, 64, 1024])
 @pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0, 100.0])
 @pytest.mark.parametrize("h", [0.05, 0.2, 1.0])
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
@@ -55,6 +60,82 @@ def test_coefficients_match_the_dense_krr_and_gp_formulas(alpha, h, ridge, n):
         rtol=0.0,
         atol=16.0 * cond * EPS * np.max(np.abs(y)),
     )
+
+
+def _residual(kernel, X, y, ridge, coefficients):
+    system = gram(kernel, X, X) + ridge * np.eye(len(y))
+    return np.linalg.norm(system @ coefficients - y) / np.linalg.norm(y)
+
+
+def _one_input_at_a_time(kernel, X, y, ridge):
+    """The reference: a Kalman filter and Bryson-Frazier pass, input by input."""
+    sort = np.argsort(X[:, 0], kind="stable")
+    lam, p_inf, terms = statespace._model(kernel)
+    A = statespace._transitions(lam, terms, np.diff(X[sort, 0]))
+    n, p = y.size, p_inf.shape[0]
+    m, P, v, S, G = np.zeros(p), p_inf, y[sort], np.empty(n), np.empty((n, p))
+    for i in range(n):
+        if i:
+            a = A[i - 1]
+            m, P = a @ m, a @ P @ a.T + (p_inf - a @ p_inf @ a.T)
+        S[i] = P[0, 0] + ridge
+        G[i] = P[:, 0] / S[i]
+        v[i] -= m[0]
+        m, P = m + G[i] * v[i], P - np.outer(G[i], P[0])
+    v /= S
+    adjoint = np.zeros(p)
+    for i in reversed(range(n)):
+        if i < n - 1:
+            adjoint = A[i].T @ adjoint
+        v[i] -= G[i] @ adjoint
+        adjoint[0] += v[i]
+    c = np.empty(n)
+    c[sort] = v
+    return c
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    alpha=st.sampled_from((0.5, 1.5, 2.5)),
+    log_h=st.floats(np.log10(0.005), np.log10(2.0)),
+    log_ridge=st.floats(-8.0, 2.0),
+    n=st.integers(1, 600),
+    clusters=st.integers(1, 8),
+    log_spread=st.floats(-6.0, -1.0),
+    duplicates=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coefficients_are_as_accurate_as_one_input_at_a_time_on_clustered_inputs(
+    alpha, log_h, log_ridge, n, clusters, log_spread, duplicates, seed
+):
+    kernel, ridge = Matern(alpha=alpha, h=10.0**log_h), 10.0**log_ridge
+    rng = np.random.default_rng(seed)
+    x = rng.choice(rng.uniform(0.0, 1.0, clusters), n) + 10.0**log_spread * rng.normal(size=n)
+    copies = rng.integers(0, n, (2, duplicates))
+    x[copies[0]] = x[copies[1]]
+    X, y = x[:, None], rng.normal(size=n)
+    c = statespace.krr_coefficients(kernel, [X], [y], ridge)[0]
+    reference = _one_input_at_a_time(kernel, X, y, ridge)
+    assert _residual(kernel, X, y, ridge, c) <= 4.0 * max(
+        _residual(kernel, X, y, ridge, reference), EPS
+    )
+
+
+def test_a_length_scale_far_past_the_inputs_gives_the_dense_fit():
+    # At h = 1e200, lam^2 underflows and a transition over an infinite gap
+    # would be inf * 0: the reset to the stationary state must not form one.
+    kernel = Matern(alpha=2.5, h=1e200)
+    X, y = _inputs(2 * CHUNK + 1, seed=9)
+    fit = krr.fit_krr(kernel, Dataset(X, y), 0.1 / len(y))
+    c = statespace.krr_coefficients(kernel, [X], [y], 0.1)[0]
+    assert np.all(np.isfinite(c))
+    dense = _residual(kernel, X, y, 0.1, fit.coefficients)
+    assert _residual(kernel, X, y, 0.1, c) <= 4.0 * max(dense, EPS)
+    grid = _grid(X)
+    values = statespace.predict(kernel, [X], [fit.coefficients], grid)[0]
+    assert np.all(np.isfinite(values))
+    bound = 8.0 * EPS * np.sum(np.abs(fit.coefficients))
+    np.testing.assert_allclose(values, fit.at(grid), rtol=0.0, atol=bound)
 
 
 def test_a_batch_is_solved_dataset_by_dataset_in_the_original_order():
@@ -203,7 +284,7 @@ def _grid(X):
     return np.concatenate([np.linspace(1.5, -0.5, 201), X[:8, 0]])
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 64, 2048])
+@pytest.mark.parametrize("n", [0, 1, 2, *AT_CHUNKS, 64, 2048])
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
 def test_predictions_match_the_dense_ridge_fit(alpha, n):
     kernel = Matern(alpha=alpha, h=0.2)
