@@ -13,20 +13,13 @@ rather than a tolerance.
 
 The fits are O(n): the Matern kernel on the line is a state-space model,
 so :func:`kernelbridge.statespace.krr_coefficients` gets the ridge
-coefficients of every size and replication from one Kalman filter and
-backward pass, without an n x n Gram matrix or its factorization. The
-coefficients are the ones :func:`kernelbridge.krr.fit_krr` solves for
-densely, to roundoff. :func:`kernelbridge.statespace.predict` then
-evaluates every fit on the m-point error grid with two sweeps over the
-inputs, in O(n + m) and without an m x n cross-Gram, so the reported
-digits do not depend on the BLAS thread count. Each pass runs parallel in
-time: every input set fills chunks of 16 sorted inputs, its first input
-and the padding after its last resetting the state, all chunks of all
-sets step together, and a pass over each set's chunk boundaries joins
-them; the filter folds each chunk into one associative element (Sarkka
-and Garcia-Fernandez, IEEE TAC 2021). At the default sizes that is about
-160 sequential steps per pass instead of 2048. The chunks stay short
-because the fold's rounding is bounded only by tests at short chunks.
+coefficients of every size and replication in one call, without an n x n
+Gram matrix or its factorization. The coefficients are the ones
+:func:`kernelbridge.krr.fit_krr` solves for densely, to roundoff.
+:func:`kernelbridge.statespace.predict` then evaluates every fit on the
+m-point error grid in O(n + m) and without an m x n cross-Gram, so the
+reported digits do not depend on the BLAS thread count. The
+:mod:`kernelbridge.statespace` docstring describes the model and its passes.
 
 The target is one bundled function, ``matern32-mix``: a fixed
 combination of five Matern-3/2 representers on ``[0, 1]``, which keeps

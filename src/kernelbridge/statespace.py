@@ -3,12 +3,16 @@
 A zero-mean process with a Matern kernel of order ``alpha`` in {1/2, 3/2,
 5/2} on the real line is the first component of a linear Gaussian
 state-space model with ``p = alpha + 1/2`` components (Hartikainen and
-Sarkka, MLSP 2010). Its drift ``F`` is the companion matrix of
-``(s + lam)^p`` with ``lam = sqrt(2 alpha) / h``. Since ``N = F + lam I`` is
-nilpotent, the transition over a step ``dt`` is the finite sum
-``A(dt) = exp(-lam dt) sum_{j<p} (N dt)^j / j!``, and its process noise is
-``Q = P_inf - A P_inf A^T`` with ``P_inf`` the stationary covariance of the
-kernel's unit variance. So ``k(s, t) = e1^T A(t - s) P_inf e1`` for s <= t.
+Sarkka, MLSP 2010), here in units of the length scale: with ``lam =
+sqrt(2 alpha) / h`` the state is ``(f, f' / lam, f'' / lam^2)``, and in time
+``z = lam t`` the drift ``F`` is the companion matrix of ``(s + 1)^p``. Since
+``N = F + I`` is nilpotent, the transition over a gap ``d`` is ``A(d) =
+exp(-z) sum_{j<p} (N z)^j / j!`` at ``z = lam d``, and its process noise is
+``Q = P_inf - A P_inf A^T``, ``P_inf`` the stationary covariance ``[[1]]``,
+``I_2`` or ``[[1, 0, -1/3], [0, 1/3, 0], [-1/3, 0, 1]]``. So ``k(s, t) = e1^T
+A(t - s) P_inf e1`` for s <= t. Only ``z`` depends on ``h``, capped where
+``exp(-z)`` is 0: the fits hold for every ``h`` with a finite ``lam``, all
+but subnormal ``h``, and scaling ``h`` and the inputs by 2^k moves no bit.
 
 :func:`krr_coefficients` returns ``(K_XX + ridge I)^{-1} y`` from a Kalman
 filter's innovations ``v_i``, variances ``S_i`` and gains ``G_i`` as
@@ -47,41 +51,36 @@ _CHUNK = 16  # rows per chunk; see the module docstring for why it stays small
 
 
 def _model(kernel: Matern):
-    """``lam``, ``P_inf`` and the terms ``N^j / j!`` of the transitions."""
+    """``lam``, and ``P_inf`` and the terms ``N^j / j!`` in units of the length scale."""
     p = int(kernel.alpha + 0.5)
-    # The largest entry of P_inf is lam^(2p - 2), and A P_inf A^T forms
-    # products up to about 100 times it: keep a factor 1024 below overflow.
     with np.errstate(over="ignore"):
         lam = np.sqrt(2.0 * kernel.alpha) / kernel.h
-        fits = np.isfinite(lam) and np.isfinite(1024.0 * lam ** (2 * p - 2))
-    if not fits:
+    if not np.isfinite(lam):
         raise NumericalError(
             f"the Matern length scale h = {kernel.h:g} is too small for the "
-            "state-space model: its stationary covariance leaves the float range"
+            "state-space model: lam = sqrt(2 alpha) / h overflows"
         )
-    N = np.eye(p, k=1) + lam * np.eye(p)
-    N[-1] -= [math.comb(p, j) * lam ** (p - j) for j in range(p)]
+    N = np.eye(p, k=1) + np.eye(p)
+    N[-1] -= [math.comb(p, j) for j in range(p)]
     terms = [np.eye(p)]
     for j in range(1, p):
         terms.append(terms[-1] @ N / j)
-    p_inf = np.ones((1, 1))
-    if p > 1:
-        l2 = lam * lam
-        p_inf = np.diag([1.0, l2]) if p == 2 else np.array(
-            [[1.0, 0.0, -l2 / 3.0], [0.0, l2 / 3.0, 0.0], [-l2 / 3.0, 0.0, l2 * l2]]
-        )
+    p_inf = np.eye(p) if p < 3 else np.array([[3, 0, -1], [0, 1, 0], [-1, 0, 3]]) / 3.0
     return lam, p_inf, np.array(terms)
 
 
 def _transitions(lam, terms, gaps):
-    """``A(dt)`` per gap, or the same part of each, from the same part of ``terms``."""
-    # Past the kernel's own cap exp(-lam dt) is 0; capping dt keeps dt^j finite.
-    dt = np.minimum(gaps, _MATERN_T_CAP / lam)[:, None, None]
-    A = np.repeat(terms[-1:], dt.size, axis=0)
+    """``A`` over each gap, or the same part of it, from the same part of ``terms``."""
+    # Past the kernel's own cap exp(-z) is 0; capping dt keeps z^j finite. At
+    # h above about 1e305 the cap overflows to inf, which caps no gap.
+    with np.errstate(over="ignore"):
+        z = np.minimum(gaps, _MATERN_T_CAP / lam)[:, None, None]
+    z *= lam
+    A = np.repeat(terms[-1:], z.size, axis=0)
     for term in terms[-2::-1]:
-        A *= dt
+        A *= z
         A += term
-    A *= np.exp(np.multiply(dt, -lam, out=dt), out=dt)
+    A *= np.exp(np.negative(z, out=z), out=z)
     return A
 
 
@@ -160,8 +159,8 @@ def krr_coefficients(kernel, X, Y, ridge) -> list:
     1)`` array is one), ``Y`` the outputs of shapes ``(n_r,)``, ``ridge`` one
     positive finite value or one per set. Returns the coefficients per set,
     in the given orders. ``kernel`` must be a :class:`Matern`. Raises
-    :class:`NumericalError` if ``h`` is too small for the model or an
-    innovation variance is not positive and finite.
+    :class:`NumericalError` if ``lam = sqrt(2 alpha) / h`` overflows (a
+    subnormal ``h``) or an innovation variance is not positive and finite.
     """
     X, starts, steps, into, out_t, p_inf, y = _layout(kernel, X, Y, "outputs")
     ridge = np.asarray(ridge, dtype=float)
@@ -217,8 +216,8 @@ def predict(kernel, X, coefficients, points) -> np.ndarray:
     """Evaluate ``sum_i c_i k(t, x_i)`` at ``points`` for several fits on the line.
 
     ``X`` and ``coefficients`` are as in :func:`krr_coefficients`, ``points`` of shape
-    ``(m,)``. Returns shape ``(sets, m)``. Raises :class:`NumericalError` if ``h`` is
-    too small for the model or a value is not finite.
+    ``(m,)``. Returns shape ``(sets, m)``. Raises :class:`NumericalError` if ``lam`` overflows,
+    as in :func:`krr_coefficients`, or a value is not finite.
     """
     X, starts, steps, into, out_t, p_inf, c = _layout(kernel, X, coefficients, "coefficients")
     t = np.asarray(points, dtype=float)

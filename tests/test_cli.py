@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kernelbridge
-from kernelbridge import cli, reporting
+from kernelbridge import cli, kernels, linalg, reporting
 from kernelbridge.dependence import PairedSample, hsic_gp_monte_carlo
 from kernelbridge.kernels import parse_kernel
 from kernelbridge.reporting import SCHEMA_VERSION, strip_wall_time
@@ -881,6 +881,55 @@ def test_quadrature_on_matching_nodes_recovers_uniform_weights(capsys, tmp_path)
     np.testing.assert_allclose(payload["weights"], [1.0 / 3.0] * 3, atol=1e-10)
     assert 0.0 <= payload["variance"] <= 1e-10
     assert payload["mean"] == pytest.approx(2.0, abs=1e-8)
+
+
+def test_a_noise_free_quadrature_op_gates_once_and_factors_three_times(
+    capsys, monkeypatch, tmp_path
+):
+    # Inputs built as the benchmark's quadrature workload builds them: a
+    # jittered grid in d = 2, past the 64 rows of one block.
+    rng = np.random.default_rng(0)
+    centres = (np.arange(10) + 0.5) / 10
+    nodes = np.stack(np.meshgrid(centres, centres, indexing="ij"), -1).reshape(-1, 2)
+    nodes += rng.uniform(-0.25, 0.25, nodes.shape) / 10
+    target = np.column_stack([rng.uniform(0.0, 1.0, (16, 2)), np.full(16, 1.0 / 16)])
+    f = np.sin(2.0 * np.pi * nodes[:, 0]) * np.cos(np.pi * nodes[:, 1]) + nodes.prod(axis=1)
+    originals = {
+        "gram": kernels.gram,
+        "spd_stats": linalg.spd_stats,
+        "cholesky_with_jitter": linalg.cholesky_with_jitter,
+    }
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    # Every module binding, as the benchmark's tracer binds them.
+    for module in [m for key, m in sys.modules.items() if key.startswith("kernelbridge")]:
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    code, out, _ = run_cli(
+        capsys,
+        "quadrature",
+        "--kernel",
+        "matern:alpha=1.5,h=0.2",
+        "--nodes",
+        write_csv(tmp_path / "nodes.csv", "x1,x2", nodes.tolist()),
+        "--target",
+        write_csv(tmp_path / "target.csv", "x1,x2,w", target.tolist()),
+        "--lambda",
+        "0",
+        "--f-values",
+        write_csv(tmp_path / "f.csv", "f", f[:, None].tolist()),
+    )
+    assert code == 0
+    assert json.loads(out)["n"] == 100
+    assert calls == {"gram": 3, "spd_stats": 1, "cholesky_with_jitter": 3}
 
 
 def test_quadrature_with_no_nodes_reports_the_prior_variance(capsys, tmp_path):

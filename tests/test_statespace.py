@@ -122,8 +122,8 @@ def test_coefficients_are_as_accurate_as_one_input_at_a_time_on_clustered_inputs
 
 
 def test_a_length_scale_far_past_the_inputs_gives_the_dense_fit():
-    # At h = 1e200, lam^2 underflows and a transition over an infinite gap
-    # would be inf * 0: the reset to the stationary state must not form one.
+    # At h = 1e200 a transition over an infinite gap would be inf * 0: the
+    # reset to the stationary state must not form one.
     kernel = Matern(alpha=2.5, h=1e200)
     X, y = _inputs(2 * CHUNK + 1, seed=9)
     fit = krr.fit_krr(kernel, Dataset(X, y), 0.1 / len(y))
@@ -219,25 +219,78 @@ def test_sets_of_any_sizes_are_validated():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
 def test_a_length_scale_too_small_for_the_model_raises(alpha):
-    # lam = sqrt(2 alpha) / h; P_inf holds lam^2 (3/2) and lam^4 (5/2).
-    h = {0.5: 1e-320, 1.5: 1e-160, 2.5: 1e-100}[alpha]
+    # lam = sqrt(2 alpha) / h is inf at a subnormal h, and only there.
+    h = 1e-320
     X = np.linspace(0.0, 1.0, 5)[None, :, None]
-    with pytest.raises(NumericalError, match=f"length scale h = {h:g}"):
+    message = rf"length scale h = {h:g} .* lam = sqrt\(2 alpha\) / h overflows"
+    with pytest.raises(NumericalError, match=message):
         statespace.krr_coefficients(Matern(alpha=alpha, h=h), X, np.ones((1, 5)), 0.1)
-    with pytest.raises(NumericalError, match=f"length scale h = {h:g}"):
+    with pytest.raises(NumericalError, match=message):
         statespace.predict(Matern(alpha=alpha, h=h), X, np.ones((1, 5)), [0.5])
 
 
-def test_order_one_half_runs_at_a_tiny_length_scale_without_warnings():
-    # lam = 1e300 is finite, and P_inf = [[1]] never squares it. Every kernel
-    # value between distinct points is 0, so K + ridge I is (1 + ridge) I.
-    kernel = Matern(alpha=0.5, h=1e-300)
+@pytest.mark.parametrize("alpha, h", [(0.5, 1e-300), (1.5, 1e-160), (2.5, 1e-100), (2.5, 1e-300)])
+def test_a_tiny_length_scale_gives_the_dense_fit_without_warnings(alpha, h):
+    # lam is finite, and only lam * gap enters the model. Every kernel value
+    # between distinct points is 0, so K + ridge I is (1 + ridge) I.
+    kernel = Matern(alpha=alpha, h=h)
     X, y = _inputs(40, seed=4)
     X, y = X[2:], y[2:]  # drop the exact duplicate
     c = statespace.krr_coefficients(kernel, [X], [y], 0.5)[0]
     np.testing.assert_array_equal(c, y / 1.5)
     values = statespace.predict(kernel, [X], [c], X[:, 0])[0]
     np.testing.assert_array_equal(values, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h", [1e200, 1e307])
+def test_gaps_whose_square_overflows_give_the_dense_fit(h):
+    # Every kernel value is exactly 1, so K + 0.1 I = 1 1^T + 0.1 I. Gaps of
+    # 1e160 overflowed when the transitions held dt^2; at h = 1e307 the cap
+    # 750 / lam overflows too, and caps no gap.
+    kernel = Matern(alpha=2.5, h=h)
+    X, y = np.array([[0.0], [1e160], [2e160]]), np.array([1.0, 2.0, 0.5])
+    c = statespace.krr_coefficients(kernel, [X], [y], 0.1)[0]
+    dense = krr.fit_krr(kernel, Dataset(X, y), 0.1 / 3).coefficients
+    np.testing.assert_allclose(dense, [-1.2903, 8.7097, -6.2903], atol=1e-4)
+    cond = (3.0 + 0.1) / 0.1
+    np.testing.assert_allclose(c, dense, rtol=0.0, atol=16.0 * cond * EPS * np.linalg.norm(dense))
+    points = np.array([-1e160, 0.0, 1.5e160, 3e160])
+    values = statespace.predict(kernel, [X], [c], points)[0]
+    assert np.all(np.isfinite(values))
+    bound = 8.0 * EPS * np.sum(np.abs(c))
+    np.testing.assert_allclose(values, gram(kernel, points, X) @ c, rtol=0.0, atol=bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    alpha=st.sampled_from((0.5, 1.5, 2.5)),
+    log_h=st.floats(-2.0, 1.0),
+    log_ridge=st.floats(-8.0, 2.0),
+    n=st.integers(1, 100),
+    k=st.integers(-990, 990),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaling_h_and_the_inputs_by_a_power_of_two_moves_no_bit(
+    alpha, log_h, log_ridge, n, k, seed
+):
+    # Inputs and points on a grid of 2^-30 in [-0.5, 1.5): every gap, scaled
+    # by 2^k, stays a normal float, and so does h 2^k. The model sees only
+    # lam * gap, the same product in both.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2**30, (n, 1)) * 2.0**-30
+    X[rng.integers(0, n, n // 4)] = X[0]
+    y = rng.normal(size=n)
+    points = rng.integers(-(2**29), 3 * 2**29, 50) * 2.0**-30
+    ridge = 10.0**log_ridge
+    fits = []
+    for e in (0, k):
+        kernel = Matern(alpha=alpha, h=np.ldexp(10.0**log_h, e))
+        c = statespace.krr_coefficients(kernel, [np.ldexp(X, e)], [y], ridge)
+        fits.append((c[0], statespace.predict(kernel, [np.ldexp(X, e)], c, np.ldexp(points, e))))
+    np.testing.assert_array_equal(fits[1][0], fits[0][0])
+    np.testing.assert_array_equal(fits[1][1], fits[0][1])
 
 
 def test_the_rate_experiment_builds_no_training_gram_and_factors_nothing(monkeypatch):
