@@ -8,7 +8,8 @@ exact identities tying the probabilistic and deterministic formulations
 together. Everything is numpy-based and deterministic under explicit
 seeds.
 
-The usual entry points:
+The package re-exports nothing: each name is imported from its module, the
+exception types from :mod:`kernelbridge.errors`. The usual entry points:
 
 - :mod:`kernelbridge.kernels` for kernel families, datasets, and the
   flat text grammar used by the CLI;
@@ -24,45 +25,6 @@ The usual entry points:
   verification harness (console script ``kernelbridge``).
 """
 
-from .errors import (
-    InputError,
-    NumericalError,
-    PreconditionError,
-    UnsupportedOperationError,
-)
-from .kernels import (
-    BrownianDistance,
-    Dataset,
-    Kernel,
-    KroneckerDelta,
-    Matern,
-    Polynomial,
-    RepresenterFunction,
-    SquaredExponential,
-    Sum,
-    format_kernel,
-    gram,
-    parse_kernel,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "InputError",
-    "NumericalError",
-    "PreconditionError",
-    "UnsupportedOperationError",
-    "Kernel",
-    "SquaredExponential",
-    "Matern",
-    "Polynomial",
-    "KroneckerDelta",
-    "BrownianDistance",
-    "Sum",
-    "Dataset",
-    "RepresenterFunction",
-    "gram",
-    "parse_kernel",
-    "format_kernel",
-]
+__all__ = ["__version__"]

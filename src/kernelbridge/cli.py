@@ -31,12 +31,7 @@ import numpy as np
 
 from . import embeddings, experiments, gp, krr, quadrature
 from .dependence import PairedSample, hsic_empirical, hsic_gp_exact, hsic_gp_monte_carlo
-from .errors import (
-    InputError,
-    NumericalError,
-    PreconditionError,
-    UnsupportedOperationError,
-)
+from .errors import InputError, NumericalError
 from .kernels import Dataset, format_kernel, parse_kernel
 from .reporting import SCHEMA_VERSION, format_float, json_text
 from .suites import SUITE_NAMES, run_suite
@@ -150,6 +145,9 @@ def _cmd_regress(args):
             )
     if args.mode == "gp" and sigma2 is None:
         raise InputError("gp mode requires --sigma2")
+    for mode, flag, value in (("krr", "--sigma2", args.sigma2), ("gp", "--lambda", args.lam)):
+        if args.mode == mode and value is not None:
+            raise InputError(f"{mode} mode does not use {flag}")
     body: dict = {
         "command": "regress",
         "mode": args.mode,
@@ -378,12 +376,7 @@ def main(argv=None) -> int:
         report = {"schema": SCHEMA_VERSION, **body, "wall_time": elapsed}
         _write(args.out, json_text(report))
         return exit_code
-    except (
-        InputError,
-        PreconditionError,
-        NumericalError,
-        UnsupportedOperationError,
-    ) as exc:
+    except (InputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from . import gp
 from .kernels import (
     Dataset,
@@ -92,7 +92,7 @@ def verify_worst_case_identity(
     ``(K_XX + noise I)^{-1} k_Xx``. At ``noise_variance = 0`` this is the
     noise-free identity, posterior sd == worst-case error. With noise the
     query must differ from every node exactly (the white-noise component
-    must not fire at ``x``), so coincidence raises :class:`PreconditionError`.
+    must not fire at ``x``), so coincidence raises :class:`InputError`.
     Neither side depends on ``data.Y``: outputs of any value serve.
     """
     xv = as_point(x)
@@ -106,7 +106,7 @@ def verify_worst_case_identity(
             )
         coincides = np.all(data.X == xv[None, :], axis=1)
         if bool(np.any(coincides)):
-            raise PreconditionError(
+            raise InputError(
                 "the noisy identity requires the query point to differ from "
                 "every node; it coincides with node "
                 f"{int(np.argmax(coincides))}"

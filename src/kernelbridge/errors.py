@@ -1,17 +1,11 @@
-"""Exception types shared across the library."""
+"""The two exception types: every refusal in the library raises one of them."""
 
 
 class InputError(ValueError):
-    """User-supplied data violates a documented precondition."""
+    """An argument the call cannot take, such as a kernel the operation is not
+    defined for or a query outside the hypothesis of an identity."""
 
 
 class NumericalError(ArithmeticError):
-    """A linear-algebra step could not be completed reliably."""
-
-
-class PreconditionError(ValueError):
-    """The hypothesis of an identity is violated by the arguments."""
-
-
-class UnsupportedOperationError(NotImplementedError):
-    """The operation is not defined for the given kernel family."""
+    """Arithmetic that cannot be trusted: a linear-algebra step could not be
+    completed reliably."""

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp, statespace
-from .errors import InputError, UnsupportedOperationError
+from .errors import InputError
 from .kernels import Dataset, Kernel, Matern, RepresenterFunction, as_count, as_points
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -99,7 +99,7 @@ def rate_experiment(
     replications before the slope fit.
     """
     if not isinstance(kernel, Matern):
-        raise UnsupportedOperationError(
+        raise InputError(
             "the rate experiment needs a Matern kernel; its order sets the "
             "reference exponent"
         )
@@ -222,7 +222,7 @@ def variance_contraction_experiment(
     grid sizes cannot support a slope and raise :class:`InputError`.
     """
     if not isinstance(kernel, Matern):
-        raise UnsupportedOperationError(
+        raise InputError(
             "the contraction experiment is defined for Matern kernels"
         )
     lo = float(domain_lo)

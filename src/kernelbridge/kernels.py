@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedOperationError
+from .errors import InputError
 from .linalg import nonnegative, row_blocks
 
 __all__ = [
@@ -197,7 +197,8 @@ def _pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _pairwise_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Euclidean distances; exactly ``|a - b|`` on the line."""
     if A.shape[1] == 1:
-        out = np.subtract.outer(A[:, 0], B[:, 0])
+        with np.errstate(over="ignore"):  # a gap past the float range is inf
+            out = np.subtract.outer(A[:, 0], B[:, 0])
         return np.abs(out, out=out)
     out = _pairwise_sqdist(A, B)
     return np.sqrt(out, out=out)
@@ -307,14 +308,14 @@ class Matern(Kernel):
         else:
             e = 0
         t = _pairwise_dist(A, B)
-        if e:
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a scaled distance past the float range is inf
+            if e:
                 np.ldexp(t, e, out=t)
-        if self.alpha == 0.5:
-            np.negative(t, out=t)
-            t /= self.h
-            return np.exp(t, out=t)
-        t *= math.sqrt(3.0 if self.alpha == 1.5 else 5.0) / self.h
+            if self.alpha == 0.5:
+                np.negative(t, out=t)
+                t /= self.h
+                return np.exp(t, out=t)
+            t *= math.sqrt(3.0 if self.alpha == 1.5 else 5.0) / self.h
         np.minimum(t, _MATERN_T_CAP, out=t)
         e = np.negative(t)
         np.exp(e, out=e)
@@ -407,7 +408,9 @@ class BrownianDistance(Kernel):
             A, B, e = _power_of_two_scaled(A, B, e)
             na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
         r = _pairwise_dist(A, B)
-        out = np.subtract(np.add.outer(na, nb), r, out=r)
+        # Past the float range (d = 1 only) this leaves inf or nan, which linalg rejects by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.subtract(np.add.outer(na, nb), r, out=r)
         return np.ldexp(out, e, out=out) if e else out
 
 
@@ -582,6 +585,6 @@ def format_kernel(kernel: Kernel) -> str:
                 f"{key}={getattr(kernel, key)!r}" for key in schema
             )
             return f"{name}:{parts}"
-    raise UnsupportedOperationError(
+    raise InputError(
         f"{type(kernel).__name__} has no flat text form (leaf families only)"
     )

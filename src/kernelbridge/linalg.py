@@ -379,7 +379,9 @@ def covariance_root(covariance: np.ndarray, reference: np.ndarray) -> np.ndarray
     Monte-Carlo estimate exactly 0" hold bitwise rather than to tolerance.
     The 0 x 0 covariance has the 0 x 0 root.
     """
-    cov = symmetrize(np.asarray(covariance, dtype=float))
+    cov = np.asarray(covariance, dtype=float)
+    _require_finite(cov, "the covariance")
+    cov = symmetrize(cov)
     n = cov.shape[0]
     if n == 0:
         return cov

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import Kernel, as_count, as_points, as_values, gram
-from .linalg import normals_times, symmetrize
+from .linalg import _require_finite, normals_times, symmetrize
 
 __all__ = [
     "EigenSystem",
@@ -82,6 +82,7 @@ def nystrom_eigensystem(kernel: Kernel, nodes, node_weights=None) -> EigenSystem
             raise InputError("node weights must be positive and finite")
         w = w / w.sum()
     K = gram(kernel, P, P)
+    _require_finite(K, "K")
     root = np.sqrt(w)
     M = symmetrize(root[:, None] * K * root[None, :])
     lam, U = np.linalg.eigh(M)

@@ -11,8 +11,7 @@ exp(-z) sum_{j<p} (N z)^j / j!`` at ``z = lam d``, and its process noise is
 ``Q = P_inf - A P_inf A^T``, ``P_inf`` the stationary covariance ``[[1]]``,
 ``I_2`` or ``[[1, 0, -1/3], [0, 1/3, 0], [-1/3, 0, 1]]``. So ``k(s, t) = e1^T
 A(t - s) P_inf e1`` for s <= t. Only ``z`` depends on ``h``, capped where
-``exp(-z)`` is 0: the fits hold for every ``h`` with a finite ``lam``, all
-but subnormal ``h``, and scaling ``h`` and the inputs by 2^k moves no bit.
+``exp(-z)`` is 0: the fits hold for every ``h`` with a finite ``lam``.
 
 :func:`krr_coefficients` returns ``(K_XX + ridge I)^{-1} y`` from a Kalman
 filter's innovations ``v_i``, variances ``S_i`` and gains ``G_i`` as
@@ -41,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NumericalError, UnsupportedOperationError
+from .errors import InputError, NumericalError
 from .kernels import _MATERN_T_CAP, Matern
 from .linalg import solve_stacked
 
@@ -92,7 +91,7 @@ def _layout(kernel, X, V, what: str):
     boundary step, by chunk and row the transitions into and (transposed) out of
     each row, ``P_inf``, and the values, 0 at dead rows."""
     if not isinstance(kernel, Matern):
-        raise UnsupportedOperationError("state-space fits need a Matern kernel")
+        raise InputError("state-space fits need a Matern kernel")
     X = [np.asarray(x, dtype=float) for x in X]
     V = [np.asarray(v, dtype=float) for v in V]
     if len(V) != len(X):
@@ -111,7 +110,8 @@ def _layout(kernel, X, V, what: str):
     for o, x, v in zip(_CHUNK * first, X, V):
         sort = np.argsort(x[:, 0], kind="stable")
         values[o : o + x.size] = v[sort]
-        gaps[o + 1 : o + x.size] = np.diff(x[sort, 0])
+        with np.errstate(over="ignore"):  # a gap past the float range is inf
+            gaps[o + 1 : o + x.size] = np.diff(x[sort, 0])
         live[o + 1 : o + x.size] = True
     lam, p_inf, terms = _model(kernel)
     A = _transitions(lam, terms, gaps)
@@ -250,9 +250,10 @@ def predict(kernel, X, coefficients, points) -> np.ndarray:
         k = np.searchsorted(x, t, side="right")
         x = np.pad(x, 1)
         rows = np.pad(np.arange(o, o + n), 1, constant_values=end)
-        below = _transitions(lam, terms[:, :1], np.where(k > 0, t - x[k], 0.0))  # e1^T A
+        with np.errstate(over="ignore"):  # a gap past the float range is inf
+            below = _transitions(lam, terms[:, :1], np.where(k > 0, t - x[k], 0.0))  # e1^T A
+            above = _transitions(lam, terms @ p_inf[:, :1], np.where(k < n, x[k + 1] - t, 0.0))
         out[s] = np.einsum("mj,mj->m", below[:, 0], state[rows[k]])
-        above = _transitions(lam, terms @ p_inf[:, :1], np.where(k < n, x[k + 1] - t, 0.0))
         out[s] += np.einsum("mi,mi->m", above[:, :, 0], adjoint[rows[k + 1]])
     if not np.all(np.isfinite(out)):
         raise NumericalError("a state-space prediction is not finite")

@@ -498,6 +498,42 @@ def test_both_mode_rejects_an_inconsistent_noise_override(capsys, dataset_csv):
     assert "sigma2" in err
 
 
+def test_both_mode_accepts_the_noise_variance_it_implies(capsys, dataset_csv):
+    sigma2 = repr(5 * 0.05)
+    code, out, err = _regress(capsys, dataset_csv, "both", "--lambda", "0.05", "--sigma2", sigma2)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sigma2"] == 5 * 0.05
+
+
+@pytest.mark.parametrize(
+    "mode,flags,unused",
+    [
+        ("krr", ("--lambda", "0.1", "--sigma2", "5"), "--sigma2"),
+        ("gp", ("--sigma2", "0.1", "--lambda", "7"), "--lambda"),
+    ],
+)
+def test_a_mode_refuses_the_noise_flag_it_does_not_use(capsys, dataset_csv, mode, flags, unused):
+    code, out, err = _regress(capsys, dataset_csv, mode, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {mode} mode does not use {unused}\n"
+
+
+@pytest.mark.parametrize("kernel", ["matern:alpha=1.5,h=1", "brownian"])
+def test_inputs_farther_apart_than_the_float_range_warn_nothing(capsys, tmp_path, kernel):
+    # x2 - x1 overflows; pyproject.toml turns an escaping RuntimeWarning into an error.
+    data = write_csv(tmp_path / "far.csv", "x1,y", [(-1e308, 1.0), (1e308, 2.0)])
+    code, out, err = run_cli(
+        capsys, "regress", "--data", data, "--kernel", kernel, "--lambda", "0.1"
+    )
+    if kernel == "brownian":
+        assert (code, out, err) == (2, "", "error: K_XX has a non-finite entry\n")
+        return
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["discrepancy"] == 0.0
+    assert payload["predictions"] == pytest.approx([1.0 / 1.2, 2.0 / 1.2], rel=1e-15)
+
+
 def test_query_dimension_mismatch_is_rejected(capsys, dataset_csv, tmp_path):
     queries = write_csv(tmp_path / "q2.csv", "x1,x2", [(0.0, 0.0)])
     code, _, err = run_cli(

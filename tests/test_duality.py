@@ -12,7 +12,7 @@ from kernelbridge.duality import (
     verify_worst_case_identity,
     worst_case_error,
 )
-from kernelbridge.errors import InputError, PreconditionError
+from kernelbridge.errors import InputError
 from kernelbridge.kernels import (
     Dataset,
     Matern,
@@ -187,7 +187,11 @@ def test_noisy_identity_refuses_a_query_at_a_node():
     kernel = SquaredExponential()
     X = np.array([[0.0], [0.7]])
     data = Dataset(X, np.array([1.0, -1.0]))
-    with pytest.raises(PreconditionError):
+    message = (
+        "^the noisy identity requires the query point to differ from every node; "
+        "it coincides with node 1$"
+    )
+    with pytest.raises(InputError, match=message):
         verify_worst_case_identity(kernel, data, 0.1, np.array([0.7]))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import _oracles as oracles
 from kernelbridge import experiments
-from kernelbridge.errors import InputError, UnsupportedOperationError
+from kernelbridge.errors import InputError
 from kernelbridge.experiments import rate_experiment
 from kernelbridge.kernels import Matern, SquaredExponential
 
@@ -59,5 +59,6 @@ def test_experiment_validation():
         rate_experiment(kernel, sizes=SMALL_SIZES, replications=0)
     with pytest.raises(InputError):
         rate_experiment(kernel, sizes=SMALL_SIZES, lambda_coefficient=0.0)
-    with pytest.raises(UnsupportedOperationError):
+    message = "^the rate experiment needs a Matern kernel; its order sets the reference exponent$"
+    with pytest.raises(InputError, match=message):
         rate_experiment(SquaredExponential(), sizes=SMALL_SIZES)

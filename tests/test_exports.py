@@ -34,6 +34,29 @@ def test_the_package_exports_exactly_what_it_imports():
     assert set(kernelbridge.__all__) == defined
 
 
+def test_refusals_have_two_types_and_the_package_imports_nothing():
+    from kernelbridge import errors
+
+    classes = [name for name, value in vars(errors).items() if isinstance(value, type)]
+    assert classes == ["InputError", "NumericalError"]
+    tree = ast.parse(Path(kernelbridge.__file__).read_text(encoding="utf-8"))
+    assert [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    cli_tree = ast.parse((Path(kernelbridge.__file__).parent / "cli.py").read_text("utf-8"))
+    [main] = [n for n in cli_tree.body if getattr(n, "name", None) == "main"]
+    caught = [
+        [ast.unparse(t) for t in getattr(h.type, "elts", [h.type])]
+        for h in ast.walk(main)
+        if isinstance(h, ast.ExceptHandler)
+    ]
+    assert caught == [["SystemExit"], ["InputError", "NumericalError"]]
+    # The exception types this surface replaced; their names are spelled in
+    # pieces so that this file does not name them either.
+    gone = [stem + "Error" for stem in ("Precondition", "UnsupportedOperation")]
+    root = Path(__file__).resolve().parents[1]
+    texts = [root / "README.md", *(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    assert [str(p) for p in texts for name in gone if name in p.read_text("utf-8")] == []
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Library entry points that the README names for direct use, and that no

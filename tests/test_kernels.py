@@ -2,6 +2,7 @@
 and the shared coercers of per-point values and sample counts."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
 import re
@@ -18,7 +19,7 @@ import kernelbridge
 from kernelbridge import duality, gp, kernels, krr, linalg
 from kernelbridge.duality import worst_case_error
 from kernelbridge.embeddings import DiscreteMeasure, verify_average_case
-from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
+from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.experiments import rate_experiment, variance_contraction_experiment
 from kernelbridge.gp import sample_prior
 from kernelbridge.kernels import (
@@ -465,6 +466,24 @@ def test_polynomial_overflow_gives_inf_without_a_warning():
     np.testing.assert_array_equal(K, [[np.inf]], strict=True)
 
 
+# Two inputs on the line whose difference overflows.
+_FARTHER_THAN_THE_FLOAT_RANGE = np.array([[-1e308], [1e308]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_matern_inputs_farther_apart_than_the_float_range_are_uncorrelated(alpha):
+    # pyproject.toml turns any RuntimeWarning that escapes into an error.
+    X = _FARTHER_THAN_THE_FLOAT_RANGE
+    np.testing.assert_array_equal(gram(Matern(alpha=alpha), X, X), np.eye(2), strict=True)
+
+
+def test_brownian_norms_past_the_float_range_are_named_as_not_finite():
+    X = _FARTHER_THAN_THE_FLOAT_RANGE
+    K = gram(BrownianDistance(), X, X)
+    with pytest.raises(NumericalError, match="^K_XX has a non-finite entry$"):
+        factor_system(K, 0.1, name="K_XX")
+
+
 @pytest.mark.parametrize("kernel", LEAF_FAMILIES + COMPOSITE_FAMILIES)
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n,m", [(300, 129), (37, 5000), (5, 20_000)])
@@ -514,6 +533,87 @@ def test_a_blocked_gram_holds_its_result_and_a_few_blocks(kernel, d):
     finally:
         tracemalloc.stop()
     assert peak < K.nbytes + 6 * 8 * _BLOCK_ENTRIES
+
+
+# One kernel per family, as the Gram pins below name them.
+PINNED_FAMILIES = {
+    "se": SquaredExponential(gamma=0.7),
+    "matern-1/2": Matern(alpha=0.5, h=0.6),
+    "matern-3/2": Matern(alpha=1.5, h=1.1),
+    "matern-5/2": Matern(alpha=2.5, h=0.4),
+    "polynomial": Polynomial(degree=3, c=0.5),
+    "delta": KroneckerDelta(scale=1.3),
+    "brownian": BrownianDistance(),
+    "sum": Sum(SquaredExponential(gamma=0.8), Matern(alpha=1.5, h=0.5)),
+}
+
+# sha256 of gram(kernel, A, B).tobytes() by (family, d, n): 20 x 15 fits in
+# one row block, 300 x 129 spans several. Each is the same under 1 and 2
+# BLAS threads, so a change to a family's scaling or blocking that moves a
+# bit shows here.
+GRAM_DIGESTS = {
+    ("se", 1, 20): "34853df9d1a3a63930c7a10e89da3e23b91a5e6cd4b17ba66cd7aaef59a41863",
+    ("se", 1, 300): "405bd99da146fa7f40e45d1584e1fe8caec8243958b651a0c86e7e3b33f34881",
+    ("se", 2, 20): "7b2c7b756c071609c6d7caef0d7836ea32b4e712c191db3246141a7179f99dcc",
+    ("se", 2, 300): "118ba2a92d0639ad4b8911161b98fede06ddd8b18ff0291445dc4ce3cbb8598e",
+    ("se", 3, 20): "4b59e563479e03d9ffaea3deb3d17afc65e4323ff119297869d4c78fa248e4fa",
+    ("se", 3, 300): "7bf5928c808fdf6f1f523743dde66218574fdf8f6e974f95f2e8be41f2183c92",
+    ("matern-1/2", 1, 20): "ef5ca91fce4e1ca3ff23942f1be9de9c3f66d735a7c5ee0a0293965e8980cb81",
+    ("matern-1/2", 1, 300): "7c80f8170a82fce2e0ac76a56365b0f723017c1a4b27377d9e379566c1f8a176",
+    ("matern-1/2", 2, 20): "d7b94dc9c1680079c40093bb7eb9d621329749f6a75e78dad4695c8913332681",
+    ("matern-1/2", 2, 300): "6553a665ee5f204ffc7e3ed483447ccb3809de9c186363856ce1739ddb1d4499",
+    ("matern-1/2", 3, 20): "9c6138081226a76181baf4859559661d9bfde40cdcb2edb4b25e549ea58ad88e",
+    ("matern-1/2", 3, 300): "24a373380eb0df0ba34e67800e919ea09aa19c85303f5cfb5a36826f3f5969c0",
+    ("matern-3/2", 1, 20): "a2348eef831c7402dd3da7cb5f0dd370043f94d03f0b8f9d335e7e38c238360b",
+    ("matern-3/2", 1, 300): "c225b649359939cc2849ffb30062b6e7bd99876eb58e5bb8e4b5d5498f8db0e2",
+    ("matern-3/2", 2, 20): "2755d6daef3c5fd394d87d8e1a731cc70140434cc787deb5f6c3d7096ed489cc",
+    ("matern-3/2", 2, 300): "77617f844c7d165769da171ab6dcc560b7eafb24083ce1293f42d351bcc2d506",
+    ("matern-3/2", 3, 20): "12a017ae16e90cefc0b171b76314f76a6a8572772780dcf5c5ae196eabed8a05",
+    ("matern-3/2", 3, 300): "53870b02c9f2b6c92e34b0c8456796a9badda97fa735ea9fe8365348b5355a44",
+    ("matern-5/2", 1, 20): "fbc0711d7f65957c13102d5974cb484e4dde35fc87cb1fc58b73d261ef9e6fc6",
+    ("matern-5/2", 1, 300): "aff7b9cc6d9118e9ec440558797240db4ef26d32baf4d006aa09e64fe7bd4271",
+    ("matern-5/2", 2, 20): "e7c82cd7f21a0df3ba5d2fab88babb6a0c8d76d19523df2ffc8e5602bb62ded7",
+    ("matern-5/2", 2, 300): "cca5eef9f7b5e8258b0451c14324a2cdc0db04068a9a28b9a015177f747e66a5",
+    ("matern-5/2", 3, 20): "3549b979df06c96e7d1b1ea9182f340d6247927086bf27d27a16be4f4dbe96d9",
+    ("matern-5/2", 3, 300): "58c2a87ea0ec6d32636ceaf01571fbbde16151383643a8b28a7f1dabc9496b92",
+    ("polynomial", 1, 20): "e1b961926f2cfb209f3c783cb87308d411e645dc648721fd127c92f1100403a1",
+    ("polynomial", 1, 300): "2b5bfdd8166c41362907f08e2788294f36ea6f1fe281a35223d79a708ecec673",
+    ("polynomial", 2, 20): "a7797586c6bd1849f6ca5e66fcfa71b3ac5f45e9ce1865bd82930b2c338f4270",
+    ("polynomial", 2, 300): "d17702de199bd782d1fa42f4da768d6daa56e54fc964738d8ac2a3cd2a51064a",
+    ("polynomial", 3, 20): "1e004e8bc76ccb16ba6e5090bf6f077126b9a92dcdd2f567c899fbd006fb8699",
+    ("polynomial", 3, 300): "d266657627e18074cc32c48783a9a2118991c15d6ccbde4f49ddcd58bf0294d5",
+    ("delta", 1, 20): "2a3ff118a09f45bb28d0141ab75784918c7456d66c7fb9a821b7263e0d7186d0",
+    ("delta", 1, 300): "4b6e2092a1a034e3887602d96e37ebf2b215e7f3616e5a6194b5060777ff84b0",
+    ("delta", 2, 20): "2a3ff118a09f45bb28d0141ab75784918c7456d66c7fb9a821b7263e0d7186d0",
+    ("delta", 2, 300): "4b6e2092a1a034e3887602d96e37ebf2b215e7f3616e5a6194b5060777ff84b0",
+    ("delta", 3, 20): "2a3ff118a09f45bb28d0141ab75784918c7456d66c7fb9a821b7263e0d7186d0",
+    ("delta", 3, 300): "4b6e2092a1a034e3887602d96e37ebf2b215e7f3616e5a6194b5060777ff84b0",
+    ("brownian", 1, 20): "c5a2a9a56f738c3d8fe36b06b06e03600a4f170c082b01fc1d0fb2221899ac66",
+    ("brownian", 1, 300): "176bbc006b2ad2e840c4d3c9dcc54806465542de555b572955c8d5d224882808",
+    ("brownian", 2, 20): "da6272a92a783c2950ecb1387128d096dcbfc1c7e287dfa4f790bef4330bcd43",
+    ("brownian", 2, 300): "63588944cbeb672fc19e718364a5bb9dba004ed61141f435fa4af468e955e195",
+    ("brownian", 3, 20): "51b02c8d7b19c1da16dbcbc8e2744abcf42b231c935f9b1f656ded353387996a",
+    ("brownian", 3, 300): "32d501b204fe346c91010130fc2945eaaf8098b59d86148c021d81023cf1c69f",
+    ("sum", 1, 20): "46dfffb52c16f37705f9aac7176140a52d1616eb8ce24801c4aa4fd4ba2a0539",
+    ("sum", 1, 300): "09f9775e207bc6b83570a807742d5bc64352cbe48b41d0d3278056ef17a4e847",
+    ("sum", 2, 20): "1ccebef99b65e6a1814cf2e20fa433fcca45f227aef970e83be8dfb298a16d76",
+    ("sum", 2, 300): "e0380181e0a07700d45d30011c9a0a5ff8acf8f3f1162a32188526c19f8ccdfe",
+    ("sum", 3, 20): "986ecf3db7a7cfa48d3d82f73ae9c58ff9a57616b6c76835a004a966156a1daa",
+    ("sum", 3, 300): "5a9c10bb1e75c4cead0582c43f38a5bc507c53afb1293cadde00ea7336f0bd6e",
+}
+
+
+@pytest.mark.parametrize("family", PINNED_FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", [(20, 15), (300, 129)])
+def test_every_family_gram_keeps_its_bits(family, d, n, m):
+    rng = np.random.default_rng(100 * d + n)
+    A, B = rng.uniform(-2.0, 2.0, (n, d)), rng.uniform(-2.0, 2.0, (m, d))
+    A[1::3] = A[0]  # repeated rows, so the delta kernel fires off the diagonal
+    B[::4] = A[0]
+    assert (len(row_blocks(n, m)) > 1) == (n == 300)
+    K = gram(PINNED_FAMILIES[family], A, B)
+    assert hashlib.sha256(K.tobytes()).hexdigest() == GRAM_DIGESTS[family, d, n]
 
 
 def test_gram_rejects_mismatched_dimensions():
@@ -792,7 +892,8 @@ def test_format_kernel_round_trips_every_leaf_family(kernel):
 
 
 def test_format_kernel_rejects_composites():
-    with pytest.raises(UnsupportedOperationError):
+    message = r"^Sum has no flat text form \(leaf families only\)$"
+    with pytest.raises(InputError, match=message):
         format_kernel(Sum(SquaredExponential(), SquaredExponential()))
 
 

@@ -18,6 +18,7 @@ from kernelbridge.linalg import (
     Cholesky,
     _solve_lower,
     cholesky_with_jitter,
+    covariance_root,
     factor_system,
     nonnegative,
     normals_times,
@@ -400,6 +401,16 @@ def test_sample_gaussian_is_deterministic_for_a_fixed_generator_state():
     a = sample_gaussian(np.random.default_rng(7), C, 10, C)
     b = sample_gaussian(np.random.default_rng(7), C, 10, C)
     np.testing.assert_array_equal(a, b)
+
+
+def test_a_covariance_that_is_not_finite_is_named_before_it_is_sampled():
+    # eigh returns a NaN root here, and sample_gaussian NaN draws, with no warning.
+    C = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    message = "^the covariance has a non-finite entry$"
+    with pytest.raises(NumericalError, match=message):
+        covariance_root(C, np.eye(2))
+    with pytest.raises(NumericalError, match=message):
+        sample_gaussian(np.random.default_rng(0), C, 3, np.eye(2))
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3, 257, 10_000])

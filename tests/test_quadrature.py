@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from kernelbridge.embeddings import DiscreteMeasure, mean_embed
-from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
+from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.kernels import (
     Matern,
     SquaredExponential,
@@ -378,7 +378,8 @@ def test_contraction_slopes_track_the_smoothness_order():
 
 
 def test_contraction_experiment_validates_inputs():
-    with pytest.raises(UnsupportedOperationError):
+    message = "^the contraction experiment is defined for Matern kernels$"
+    with pytest.raises(InputError, match=message):
         variance_contraction_experiment(
             SquaredExponential(), 0.0, 1.0, 0.5, (8, 16, 32)
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kernelbridge.errors import InputError
+from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.kernels import (
     BrownianDistance,
     KroneckerDelta,
@@ -113,6 +113,12 @@ def test_eigensystem_rejects_bad_nodes_and_weights():
         )
     with pytest.raises(InputError):
         nystrom_eigensystem(SquaredExponential(), nodes, node_weights=[1.0, 1.0])
+
+
+def test_an_eigensystem_of_a_gram_that_is_not_finite_is_named():
+    # (1e200 * 2e200)^3 overflows; eigh returns NaN eigenvalues, with no warning.
+    with pytest.raises(NumericalError, match="^K has a non-finite entry$"):
+        nystrom_eigensystem(Polynomial(degree=3), [[1e200], [2e200]])
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelbridge import experiments, gp, krr, statespace
-from kernelbridge.errors import InputError, NumericalError, UnsupportedOperationError
+from kernelbridge.errors import InputError, NumericalError
 from kernelbridge.kernels import Dataset, Matern, SquaredExponential, gram
 
 EPS = np.finfo(float).eps
@@ -166,7 +166,7 @@ def test_inputs_are_validated():
     for ridge in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InputError):
             statespace.krr_coefficients(kernel, X, Y, ridge)
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(InputError, match="^state-space fits need a Matern kernel$"):
         statespace.krr_coefficients(SquaredExponential(), X, Y, 0.1)
 
 
@@ -260,6 +260,19 @@ def test_gaps_whose_square_overflows_give_the_dense_fit(h):
     assert np.all(np.isfinite(values))
     bound = 8.0 * EPS * np.sum(np.abs(c))
     np.testing.assert_allclose(values, gram(kernel, points, X) @ c, rtol=0.0, atol=bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_inputs_farther_apart_than_the_float_range_are_fitted_alone(alpha):
+    # x2 - x1 overflows to inf: the kernel value across it is 0, so K = I.
+    kernel = Matern(alpha=alpha, h=1.0)
+    X, y = np.array([[-1e308], [1e308]]), np.array([1.0, 2.0])
+    c = statespace.krr_coefficients(kernel, [X], [y], 0.5)[0]
+    np.testing.assert_array_equal(c, y / 1.5)
+    points = np.array([-1e308, 0.0, 1e308])
+    values = statespace.predict(kernel, [X], [c], points)[0]
+    np.testing.assert_array_equal(values, gram(kernel, points, X) @ c)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -393,7 +406,7 @@ def test_predictions_validate_their_inputs():
     X = np.linspace(0.0, 1.0, 5)[None, :, None]
     c = np.ones((1, 5))
     grid = np.linspace(0.0, 1.0, 7)
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(InputError, match="^state-space fits need a Matern kernel$"):
         statespace.predict(SquaredExponential(), X, c, grid)
     for bad in (
         (X[0], c, grid),
